@@ -90,6 +90,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzStreamAppend -fuzztime=5s ./internal/stream/
 	$(GO) test -run=^$$ -fuzz=FuzzScenarioRoundTrip -fuzztime=5s ./internal/trackeval/
 	$(GO) test -run=^$$ -fuzz=FuzzColbinRoundTrip -fuzztime=5s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzColbinNoPanic -fuzztime=5s ./internal/trace/
 
 # trackeval runs the tracking-quality gate: the pinned planted-truth
 # scenario corpus (all seeds, all families, fault-degraded frames) plus

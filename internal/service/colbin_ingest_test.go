@@ -7,7 +7,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -48,6 +51,58 @@ func uploadPair(t *testing.T) (texts []string, bins [][]byte) {
 		bins = append(bins, trace.EncodeColbin(parsed))
 	}
 	return texts, bins
+}
+
+// overflowBody is a colbin trace crafted to overflow the block burst
+// count: 10 valid bursts, a metadata burst count patched to 0, and one
+// extra block declaring 2^64-10 bursts, with every section CRC valid. A
+// decoder that converts the count to int before bounding it sees -10,
+// the totals agree, and the parallel block decode panics.
+func overflowBody(t *testing.T) []byte {
+	t.Helper()
+	tr := &trace.Trace{Meta: trace.Metadata{App: "a"}}
+	for i := 0; i < 10; i++ {
+		tr.Bursts = append(tr.Bursts, trace.Burst{Task: i, StartNS: int64(i)})
+	}
+	data := trace.EncodeColbin(tr)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	out := []byte(trace.ColbinMagic)
+	section := func(kind byte, payload []byte) {
+		body := append([]byte{kind}, payload...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+		out = append(out, body...)
+	}
+	for off := len(trace.ColbinMagic); off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		kind, payload := data[off+8], data[off+9:off+8+n]
+		off += 8 + n
+		switch kind {
+		case 'M':
+			// The payload ends with the burst count (10, one byte) and
+			// the block size hint (4096, two bytes).
+			payload = append([]byte(nil), payload...)
+			payload[len(payload)-3] = 0
+		case 'E':
+			section('B', binary.AppendUvarint(nil, math.MaxUint64-9))
+			payload = []byte{0}
+		}
+		section(kind, payload)
+	}
+	return out
+}
+
+// checkHealthz asserts the daemon still answers liveness probes.
+func checkHealthz(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %s, want 200", resp.Status)
+	}
 }
 
 // TestBinarySubmitMatchesText is the ingest equivalence contract: the
@@ -131,6 +186,7 @@ func TestSubmitBodySniffing(t *testing.T) {
 	torn := valid[:len(valid)-10]
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x01 // valid magic, broken section CRC
+	overflow := append(overflowBody(t), bins[1]...)
 
 	cases := []struct {
 		name string
@@ -144,6 +200,7 @@ func TestSubmitBodySniffing(t *testing.T) {
 		{"empty body", nil, []int{http.StatusBadRequest}},
 		{"garbage text", []byte("not json, not colbin"), []int{http.StatusBadRequest}},
 		{"single binary trace", bins[0], []int{http.StatusBadRequest}}, // needs >= 2 traces or windows
+		{"overflowing block count", overflow, []int{http.StatusBadRequest}},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/octet-stream", bytes.NewReader(tc.body))
@@ -177,6 +234,7 @@ func TestSubmitBodySniffing(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("windows=bogus: got %s, want 400", resp.Status)
 	}
+	checkHealthz(t, srv.URL)
 }
 
 // TestStreamAppendSniffing drives the same format decisions on the
@@ -238,6 +296,20 @@ func TestStreamAppendSniffing(t *testing.T) {
 	if code, _ := post(appendURL+"?strict=1", nil); code != http.StatusBadRequest {
 		t.Errorf("strict empty chunk: code %d, want 400", code)
 	}
+
+	// A block count crafted to overflow int is a strict 400; lenient
+	// mode may instead quarantine the crafted block and keep the rest.
+	overflow := overflowBody(t)
+	if code, _ := post(appendURL+"?strict=1", overflow); code != http.StatusBadRequest {
+		t.Errorf("strict overflowing chunk: code %d, want 400", code)
+	}
+	switch code, ar := post(appendURL, overflow); {
+	case code == http.StatusOK && ar.LinesSkipped != 1:
+		t.Errorf("lenient overflowing chunk: 200 with %d sections quarantined, want 1", ar.LinesSkipped)
+	case code != http.StatusOK && code != http.StatusBadRequest:
+		t.Errorf("lenient overflowing chunk: code %d", code)
+	}
+	checkHealthz(t, srv.URL)
 }
 
 // TestTraceCacheConvertOnFirstRead exercises the cache lifecycle end to
@@ -334,4 +406,3 @@ func TestTraceCacheKeyedByMode(t *testing.T) {
 		t.Fatalf("strict and lenient share entries: %+v", st)
 	}
 }
-

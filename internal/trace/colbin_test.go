@@ -3,11 +3,13 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"perftrack/internal/metrics"
@@ -23,7 +25,7 @@ func genTrace(seed uint64, big bool) *Trace {
 		Meta: Metadata{
 			App: "colbin gen", Label: "seed-run", Ranks: 16, TasksPerNode: 4,
 			Machine: "Mare Nostrum", Compiler: `gfortran "4.1.2" -O3`,
-			Params:  map[string]string{"class": "B", "block size": "128", "π": "3.14"},
+			Params: map[string]string{"class": "B", "block size": "128", "π": "3.14"},
 		},
 	}
 	funcs := []string{"solve_x", "mat mul", "", "cálculo", "init\tphase"}
@@ -277,6 +279,73 @@ func TestColbinLenientQuarantinesBlocks(t *testing.T) {
 			t.Fatalf("decoded burst %d is not an in-order subsequence of the input", i)
 		}
 		j++
+	}
+}
+
+// craftOverflow re-frames a valid 10-burst encoding with one extra block
+// that declares 2^64-10 bursts. Converted to int before its plausibility
+// bound, that count wraps to -10 and cancels the real bursts out of the
+// running total. patchMeta also zeroes the metadata burst count, so the
+// strict cross-check agrees with the wrapped total. Every CRC is valid.
+func craftOverflow(patchMeta bool) []byte {
+	tr := &Trace{Meta: Metadata{App: "a"}}
+	for i := 0; i < 10; i++ {
+		tr.Bursts = append(tr.Bursts, Burst{Task: i, StartNS: int64(i)})
+	}
+	data := EncodeColbin(tr)
+	out := []byte(ColbinMagic)
+	section := func(kind byte, payload []byte) {
+		var start int
+		out, start = beginSection(out, kind)
+		out = endSection(append(out, payload...), start)
+	}
+	for off := len(ColbinMagic); off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		kind, payload := data[off+8], data[off+9:off+8+n]
+		off += 8 + n
+		switch kind {
+		case sectionMeta:
+			if patchMeta {
+				// The payload ends with the burst count (10, one byte)
+				// and the block size hint (4096, two bytes).
+				payload = append([]byte(nil), payload...)
+				payload[len(payload)-3] = 0
+			}
+		case sectionEnd:
+			section(sectionBlock, binary.AppendUvarint(nil, math.MaxUint64-9))
+			payload = []byte{0}
+		}
+		section(kind, payload)
+	}
+	return out
+}
+
+func TestColbinBlockCountOverflowStrict(t *testing.T) {
+	for _, patchMeta := range []bool{false, true} {
+		_, _, err := DecodeColbinWith(craftOverflow(patchMeta), DecodeOptions{Strict: true})
+		if err == nil || !strings.Contains(err.Error(), "implausible block burst count") {
+			t.Fatalf("patchMeta=%v: strict decode error %v, want an implausible block burst count", patchMeta, err)
+		}
+	}
+}
+
+func TestColbinBlockCountOverflowLenient(t *testing.T) {
+	for _, patchMeta := range []bool{false, true} {
+		got, diag, err := DecodeColbinWith(craftOverflow(patchMeta), DecodeOptions{})
+		if err != nil {
+			t.Fatalf("patchMeta=%v: lenient decode: %v", patchMeta, err)
+		}
+		if len(got.Bursts) != 10 {
+			t.Fatalf("patchMeta=%v: lenient decode kept %d bursts, want the 10 real ones", patchMeta, len(got.Bursts))
+		}
+		for i, b := range got.Bursts {
+			if b.Task != i || b.StartNS != int64(i) {
+				t.Fatalf("patchMeta=%v: burst %d decoded as %+v", patchMeta, i, b)
+			}
+		}
+		if diag.Skipped() != 1 || !strings.Contains(diag.BadLines[0].Reason, "implausible block burst count") {
+			t.Fatalf("patchMeta=%v: diagnostics %+v, want the crafted block quarantined", patchMeta, diag)
+		}
 	}
 }
 

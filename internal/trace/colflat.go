@@ -107,7 +107,7 @@ func scanColbinStrict(data []byte) (*colMeta, []string, []colBlock, int, error) 
 			}
 			n, k := binary.Uvarint(payload)
 			minPer := 8 + 8*len(meta.order)
-			if k <= 0 || int(n) > len(payload)/max(1, minPer)+1 {
+			if k <= 0 || n > uint64(len(payload)/minPer+1) {
 				return nil, nil, nil, 0, fmt.Errorf("trace: colbin section %d: implausible block burst count", section)
 			}
 			blocks = append(blocks, colBlock{
@@ -140,7 +140,7 @@ func scanColbinStrict(data []byte) (*colMeta, []string, []colBlock, int, error) 
 				strtab = st
 			case sectionEnd:
 				n, k := binary.Uvarint(payload)
-				if k <= 0 || int(n) != total {
+				if k <= 0 || n != uint64(total) {
 					return nil, nil, nil, 0, fmt.Errorf("trace: colbin section %d: end marker disagrees with blocks", section)
 				}
 				sawEnd = true
@@ -161,7 +161,7 @@ func scanColbinStrict(data []byte) (*colMeta, []string, []colBlock, int, error) 
 	if off < len(data) {
 		return nil, nil, nil, 0, fmt.Errorf("trace: %d trailing bytes after colbin end marker", len(data)-off)
 	}
-	if total != meta.total {
+	if uint64(total) != meta.total {
 		return nil, nil, nil, 0, fmt.Errorf("trace: colbin metadata counts %d bursts, blocks carry %d", meta.total, total)
 	}
 	return meta, strtab, blocks, total, nil

@@ -31,10 +31,9 @@ import (
 
 // colMeta is the parsed 'M' section.
 type colMeta struct {
-	meta   Metadata
-	order  []metrics.Counter
-	total  int
-	blocks int // writer's block size hint (informational)
+	meta  Metadata
+	order []metrics.Counter
+	total uint64 // declared burst count, cross-checked in strict mode
 }
 
 // colBlock is one 'B' section located by the scan, not yet CRC-verified.
@@ -291,7 +290,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 				if k <= 0 {
 					return diag, fmt.Errorf("trace: colbin section %d: malformed end marker", section)
 				}
-				if opts.Strict && int(n) != total {
+				if opts.Strict && n != uint64(total) {
 					return diag, fmt.Errorf("trace: colbin section %d: end marker counts %d bursts, blocks carry %d", section, n, total)
 				}
 				sawEnd = true
@@ -303,9 +302,11 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 			n, k := binary.Uvarint(payload)
 			// The count gates the output allocation, so bound it by what
 			// the payload could possibly hold before trusting it (CRC is
-			// checked later, in the parallel phase).
+			// checked later, in the parallel phase). The bound is taken
+			// in uint64: converting first would let a count near 2^64
+			// wrap negative and slip past it.
 			minPer := 8 + 8*len(meta.order)
-			if k <= 0 || int(n) > len(payload)/max(1, minPer)+1 {
+			if k <= 0 || n > uint64(len(payload)/minPer+1) {
 				if err := quarantine(section, fmt.Errorf("implausible block burst count")); err != nil {
 					return diag, err
 				}
@@ -343,7 +344,7 @@ func decodeColbin(data []byte, opts DecodeOptions, t *Trace) (DecodeDiagnostics,
 		diag.BadLines = append(diag.BadLines, BadLine{Line: section + 1,
 			Reason: fmt.Sprintf("%d trailing bytes after end marker", len(data)-off)})
 	}
-	if opts.Strict && total != meta.total {
+	if opts.Strict && uint64(total) != meta.total {
 		return diag, fmt.Errorf("trace: colbin metadata counts %d bursts, blocks carry %d", meta.total, total)
 	}
 
@@ -431,8 +432,8 @@ func parseColMeta(p []byte) (*colMeta, error) {
 		}
 		m.order = append(m.order, c)
 	}
-	m.total = int(r.uvarint("burst count"))
-	m.blocks = int(r.uvarint("block size"))
+	m.total = r.uvarint("burst count")
+	r.uvarint("block size") // the writer's block size hint: informational
 	if r.err != nil {
 		return nil, r.err
 	}

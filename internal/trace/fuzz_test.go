@@ -52,3 +52,26 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
+
+// FuzzColbinNoPanic feeds raw bytes to the sniffing decoder in strict and
+// lenient mode. Rejecting is fine; panicking is not, and any trace it
+// accepts must re-encode to colbin and decode again.
+func FuzzColbinNoPanic(f *testing.F) {
+	f.Add(craftOverflow(false))
+	f.Add(craftOverflow(true))
+	valid := EncodeColbin(sampleTrace())
+	for cut := 0; cut <= len(valid); cut++ {
+		f.Add(valid[:cut])
+	}
+	f.Fuzz(func(t *testing.T, input []byte) {
+		for _, strict := range []bool{true, false} {
+			tr, _, err := DecodeAny(input, DecodeOptions{Strict: strict})
+			if err != nil {
+				continue
+			}
+			if _, _, err := DecodeColbinWith(EncodeColbin(tr), DecodeOptions{Strict: true}); err != nil {
+				t.Fatalf("strict=%v: accepted trace does not survive a colbin round trip: %v", strict, err)
+			}
+		}
+	})
+}
