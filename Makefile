@@ -149,7 +149,7 @@ bench-stream:
 bench-codec:
 	scripts/bench_codec.sh
 
-# A short fuzzing pass over the trace decoders (lenient + strict + CSV).
+# A short fuzzing pass over the text trace decoder (lenient + strict).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLenientRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRead$$ -fuzztime=30s ./internal/trace/

@@ -31,9 +31,9 @@ func cmdConvert(args []string) error {
 		return fmt.Errorf("convert: -o needs exactly one input, got %d", fs.NArg())
 	}
 	for _, p := range fs.Args() {
-		t, diag, err := trace.ReadFileAnyWith(p, trace.DecodeOptions{Strict: !lenientMode})
+		t, diag, err := trace.ReadFile(p, trace.DecodeOptions{Strict: !lenientMode})
 		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
+			return err // already names p
 		}
 		if diag.Summary() != "" {
 			fmt.Fprintf(os.Stderr, "trackctl: %s: %s\n", p, diag.Summary())

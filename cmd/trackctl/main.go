@@ -197,9 +197,9 @@ func loadTraces(paths []string) ([]*trace.Trace, error) {
 	}
 	out := make([]*trace.Trace, 0, len(paths))
 	for _, p := range paths {
-		// ReadFileAnyWith sniffs the colbin magic, so every subcommand
-		// accepts text and binary columnar traces interchangeably.
-		t, diag, err := trace.ReadFileAnyWith(p, trace.DecodeOptions{Strict: !lenientMode})
+		// ReadFile sniffs the colbin magic, so every subcommand accepts
+		// text and binary columnar traces interchangeably.
+		t, diag, err := trace.ReadFile(p, trace.DecodeOptions{Strict: !lenientMode})
 		if err != nil {
 			return nil, err
 		}

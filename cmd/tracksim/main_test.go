@@ -42,7 +42,7 @@ func TestGenerateStudy(t *testing.T) {
 	}
 	// The files parse back.
 	for _, f := range files {
-		tr, err := trace.ReadFile(f)
+		tr, _, err := trace.ReadFile(f, trace.DecodeOptions{Strict: true})
 		if err != nil {
 			t.Errorf("%s: %v", f, err)
 			continue

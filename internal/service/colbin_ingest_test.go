@@ -44,7 +44,7 @@ func uploadPair(t *testing.T) (texts []string, bins [][]byte) {
 		// Encode the PARSED text, not the in-memory trace: the text
 		// writer canonicalises burst order, and the binary submission
 		// must fingerprint identically to the text one.
-		parsed, err := trace.Read(bytes.NewReader(buf.Bytes()))
+		parsed, _, err := trace.ReadWith(bytes.NewReader(buf.Bytes()), trace.DecodeOptions{Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -268,7 +268,7 @@ func parseTextCached(raw []byte, opts trace.DecodeOptions, tc *store.TraceCache)
 	}
 	key := store.TraceKey(raw, !opts.Strict)
 	if bin, ok := tc.Get(key); ok {
-		if t, err := trace.DecodeColbin(bin); err == nil {
+		if t, _, err := trace.DecodeColbinWith(bin, trace.DecodeOptions{Strict: true}); err == nil {
 			return t, trace.DecodeDiagnostics{}, nil
 		}
 		tc.Delete(key) // poisoned entry: rebuild from text below

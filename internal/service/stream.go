@@ -651,9 +651,9 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading chunk: "+err.Error())
 		return
 	}
-	// DecodeAny sniffs the colbin magic, so burst chunks may arrive in
+	// Decode sniffs the colbin magic, so burst chunks may arrive in
 	// either the text or the binary columnar format.
-	tr, diag, err := trace.DecodeAny(data, trace.DecodeOptions{Strict: strict})
+	tr, diag, err := trace.Decode(data, trace.DecodeOptions{Strict: strict})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding chunk: "+err.Error())
 		return

@@ -12,13 +12,16 @@ import (
 	"perftrack/internal/metrics"
 )
 
+// strictOpts is the all-or-nothing decode most codec tests want.
+var strictOpts = DecodeOptions{Strict: true}
+
 func roundTrip(t *testing.T, tr *Trace) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := Read(&buf)
+	got, _, err := ReadWith(&buf, strictOpts)
 	if err != nil {
 		t.Fatalf("Read: %v\ninput:\n%s", err, buf.String())
 	}
@@ -80,7 +83,7 @@ func TestCodecFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, _, err := ReadFile(path, strictOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestCodecFileRoundTrip(t *testing.T) {
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "nope"), strictOpts); err == nil {
 		t.Error("missing file should error")
 	}
 }
@@ -110,7 +113,7 @@ func TestCodecErrors(t *testing.T) {
 		{"unterminated quote", "#PERFTRACK 1\n#meta app=\"oops\n"},
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.input)); err == nil {
+		if _, _, err := ReadWith(strings.NewReader(c.input), strictOpts); err == nil {
 			t.Errorf("%s: Read accepted malformed input", c.name)
 		}
 	}
@@ -118,7 +121,7 @@ func TestCodecErrors(t *testing.T) {
 
 func TestCodecIgnoresUnknownDirectives(t *testing.T) {
 	input := "#PERFTRACK 1\n#meta app=x ranks=1 future=stuff\n#fancy new directive\nB 0 0 0 1 f f.c 1 0 0 0 0 0 0 0\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, _, err := ReadWith(strings.NewReader(input), strictOpts)
 	if err != nil {
 		t.Fatalf("forward-compat parse failed: %v", err)
 	}
@@ -129,7 +132,7 @@ func TestCodecIgnoresUnknownDirectives(t *testing.T) {
 
 func TestCodecBlankLines(t *testing.T) {
 	input := "#PERFTRACK 1\n\n\nB 0 0 0 1 f f.c 1 0 0 0 0 0 0 0\n\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, _, err := ReadWith(strings.NewReader(input), strictOpts)
 	if err != nil || len(tr.Bursts) != 1 {
 		t.Errorf("blank lines broke parsing: %v %+v", err, tr)
 	}
@@ -138,7 +141,7 @@ func TestCodecBlankLines(t *testing.T) {
 func TestCodecCounterOrderHeader(t *testing.T) {
 	// A reordered #counters header must assign values to the right slots.
 	input := "#PERFTRACK 1\n#counters PAPI_TOT_CYC PAPI_TOT_INS\nB 0 0 0 1 f f.c 1 0 50 100\n"
-	tr, err := Read(strings.NewReader(input))
+	tr, _, err := ReadWith(strings.NewReader(input), strictOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, _, err := ReadWith(&buf, strictOpts)
 		if err != nil {
 			return false
 		}
@@ -223,7 +226,7 @@ func BenchmarkRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
+		if _, _, err := ReadWith(bytes.NewReader(data), strictOpts); err != nil {
 			b.Fatal(err)
 		}
 	}

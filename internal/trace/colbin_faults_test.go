@@ -12,6 +12,9 @@ import (
 	"perftrack/internal/trace"
 )
 
+// strictOpts is the all-or-nothing decode the external tests want.
+var strictOpts = trace.DecodeOptions{Strict: true}
+
 // TestColbinFaultInjection is the corruption contract of the binary
 // format: for every byte-level injector and severity, a strict decode of
 // the corrupted encoding either fails loudly or yields the original trace
@@ -25,7 +28,7 @@ func TestColbinFaultInjection(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {
 				corrupt, rep := inj.ApplyBytes(clean, seed)
 
-				got, err := trace.DecodeColbin(corrupt)
+				got, _, err := trace.DecodeColbinWith(corrupt, strictOpts)
 				if err == nil && !reflect.DeepEqual(got, orig) {
 					t.Fatalf("%s frac=%g seed=%d: strict decode of %d-fault input silently differs",
 						inj.Name(), frac, seed, rep.Faults)
@@ -75,9 +78,9 @@ func FuzzColbinRoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, input []byte) {
-		tr, err := trace.DecodeColbin(input)
+		tr, _, err := trace.DecodeColbinWith(input, strictOpts)
 		if err == nil {
-			back, err := trace.DecodeColbin(trace.EncodeColbin(tr))
+			back, _, err := trace.DecodeColbinWith(trace.EncodeColbin(tr), strictOpts)
 			if err != nil {
 				t.Fatalf("re-encode of accepted input failed to decode: %v", err)
 			}
@@ -89,7 +92,7 @@ func FuzzColbinRoundTrip(f *testing.F) {
 		// salvages must re-encode.
 		ltr, _, lerr := trace.DecodeColbinWith(input, trace.DecodeOptions{})
 		if lerr == nil {
-			if _, err := trace.DecodeColbin(trace.EncodeColbin(ltr)); err != nil {
+			if _, _, err := trace.DecodeColbinWith(trace.EncodeColbin(ltr), strictOpts); err != nil {
 				t.Fatalf("lenient salvage is unserialisable: %v", err)
 			}
 		}

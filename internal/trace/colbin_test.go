@@ -104,9 +104,9 @@ func TestColbinRoundTrip(t *testing.T) {
 		cases["gen-big"] = genTrace(seed+100, seed == 1)
 		for name, tr := range cases {
 			data := EncodeColbin(tr)
-			got, err := DecodeColbin(data)
+			got, _, err := DecodeColbinWith(data, strictOpts)
 			if err != nil {
-				t.Fatalf("seed %d %s: DecodeColbin: %v", seed, name, err)
+				t.Fatalf("seed %d %s: DecodeColbinWith: %v", seed, name, err)
 			}
 			if !equalTraces(got, tr) {
 				t.Fatalf("seed %d %s: decode mismatch", seed, name)
@@ -132,13 +132,13 @@ func TestColbinTextDifferential(t *testing.T) {
 		if err := Write(&text1, orig); err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := Read(bytes.NewReader(text1.Bytes()))
+		parsed, _, err := ReadWith(bytes.NewReader(text1.Bytes()), strictOpts)
 		if err != nil {
 			// NaN/Inf counters round-trip through the text format too,
 			// so a parse failure is a real regression.
 			t.Fatalf("seed %d: text parse: %v", seed, err)
 		}
-		viaCol, err := DecodeColbin(EncodeColbin(parsed))
+		viaCol, _, err := DecodeColbinWith(EncodeColbin(parsed), strictOpts)
 		if err != nil {
 			t.Fatalf("seed %d: colbin round trip: %v", seed, err)
 		}
@@ -152,7 +152,7 @@ func TestColbinTextDifferential(t *testing.T) {
 
 		// The canonical fingerprint must survive the conversion: the
 		// convert cache depends on it.
-		direct, err := DecodeColbin(EncodeColbin(orig))
+		direct, _, err := DecodeColbinWith(EncodeColbin(orig), strictOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,36 +177,14 @@ func TestColbinGoldenLayout(t *testing.T) {
 	}
 }
 
-func TestColbinDecodeIntoReuse(t *testing.T) {
-	a, b := genTrace(1, false), genTrace(2, false)
-	dataA, dataB := EncodeColbin(a), EncodeColbin(b)
-	var tr Trace
-	if err := DecodeColbinInto(dataA, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if !equalTraces(&tr, a) {
-		t.Fatal("first DecodeColbinInto mismatch")
-	}
-	if err := DecodeColbinInto(dataB, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if !equalTraces(&tr, b) {
-		t.Fatal("reused DecodeColbinInto mismatch")
-	}
-}
-
-// TestColbinDecodeIntoAllocs pins the binary decoder's allocation
-// behaviour: decoding thousands of bursts into a reused trace must cost
-// O(strings + blocks) allocations, never O(bursts).
-func TestColbinDecodeIntoAllocs(t *testing.T) {
+// TestColbinDecodeAllocs pins the binary decoder's allocation behaviour:
+// decoding thousands of bursts must cost O(strings + blocks) allocations
+// plus the one burst slice, never O(bursts).
+func TestColbinDecodeAllocs(t *testing.T) {
 	tr := genTrace(7, true) // > 12k bursts across 4 blocks
 	data := EncodeColbin(tr)
-	var dst Trace
-	if err := DecodeColbinInto(data, &dst); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := DecodeColbinInto(data, &dst); err != nil {
+		if _, _, err := DecodeColbinWith(data, strictOpts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -214,7 +192,7 @@ func TestColbinDecodeIntoAllocs(t *testing.T) {
 	// worker pool. 128 leaves slack without ever tolerating a
 	// per-burst allocation (that would be >12000).
 	if allocs > 128 {
-		t.Fatalf("DecodeColbinInto allocates %.0f times for %d bursts", allocs, len(tr.Bursts))
+		t.Fatalf("DecodeColbinWith allocates %.0f times for %d bursts", allocs, len(tr.Bursts))
 	}
 }
 
@@ -222,7 +200,7 @@ func TestColbinTruncationAtEveryByte(t *testing.T) {
 	tr := sampleTrace()
 	data := EncodeColbin(tr)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeColbin(data[:cut]); err == nil {
+		if _, _, err := DecodeColbinWith(data[:cut], strictOpts); err == nil {
 			t.Fatalf("strict decode accepted a file truncated at byte %d/%d", cut, len(data))
 		}
 		// Lenient must not panic and must either fail or flag the tear.
@@ -241,7 +219,7 @@ func TestColbinBitFlipNeverSilent(t *testing.T) {
 		corrupt := append([]byte(nil), data...)
 		pos := rng.IntN(len(corrupt))
 		corrupt[pos] ^= 1 << rng.IntN(8)
-		got, err := DecodeColbin(corrupt)
+		got, _, err := DecodeColbinWith(corrupt, strictOpts)
 		if err != nil {
 			continue // loud failure: exactly what we want
 		}
@@ -363,7 +341,7 @@ func TestSplitColbin(t *testing.T) {
 		t.Fatalf("SplitColbin found %d traces, want %d", len(parts), len(traces))
 	}
 	for i, part := range parts {
-		got, err := DecodeColbin(part)
+		got, _, err := DecodeColbinWith(part, strictOpts)
 		if err != nil {
 			t.Fatalf("part %d: %v", i, err)
 		}
@@ -382,33 +360,6 @@ func TestSplitColbin(t *testing.T) {
 	}
 }
 
-func TestColbinFlatMatchesBurstDecode(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		tr := genTrace(seed, seed == 2)
-		data := EncodeColbin(tr)
-		f, err := DecodeColbinFlat(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalTraces(f.Trace(), tr) {
-			t.Fatalf("seed %d: Flat.Trace() mismatch", seed)
-		}
-		// PointsInto must agree bit-for-bit with the boxed path the
-		// pipeline uses today: metrics.SpaceInto over burst samples.
-		ms := []metrics.Metric{metrics.IPC, metrics.Instructions}
-		got := f.PointsInto(nil, ms)
-		want := make([]float64, len(tr.Bursts)*len(ms))
-		for i, b := range tr.Bursts {
-			metrics.SpaceInto(want[i*len(ms):(i+1)*len(ms)], ms, b.Sample())
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("seed %d: point %d differs: %v vs %v", seed, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestReadFileAnySniffs(t *testing.T) {
 	tr := genTrace(21, false)
 	dir := t.TempDir()
@@ -420,38 +371,42 @@ func TestReadFileAnySniffs(t *testing.T) {
 	if err := WriteColbinFile(binPath, tr); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := ReadFileAny(binPath)
+	fromBin, _, err := ReadFile(binPath, strictOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalTraces(fromBin, tr) {
-		t.Fatal("binary ReadFileAny mismatch")
+		t.Fatal("binary ReadFile mismatch")
 	}
-	fromText, err := ReadFileAny(textPath)
+	fromText, _, err := ReadFile(textPath, strictOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The text writer sorts and normalises (e.g. -0 prints as 0), so the
 	// reference is what the text reader itself produces.
-	want, err := ReadFile(textPath)
+	var text bytes.Buffer
+	if err := Write(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ReadWith(&text, strictOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalTraces(fromText, want) {
-		t.Fatal("text ReadFileAny mismatch")
+		t.Fatal("text ReadFile mismatch")
 	}
-	if _, err := ReadFileAny(filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("ReadFileAny accepted a missing file")
+	if _, _, err := ReadFile(filepath.Join(dir, "missing"), strictOpts); err == nil {
+		t.Fatal("ReadFile accepted a missing file")
 	}
 }
 
 func TestDecodeAnyEmptyAndGarbage(t *testing.T) {
-	if _, _, err := DecodeAny(nil, DecodeOptions{Strict: true}); err == nil {
-		t.Fatal("strict DecodeAny accepted empty input")
+	if _, _, err := Decode(nil, strictOpts); err == nil {
+		t.Fatal("strict Decode accepted empty input")
 	}
 	// Lenient text decode of garbage quarantines; it must not be
 	// mistaken for colbin.
-	_, diag, err := DecodeAny([]byte("not a trace"), DecodeOptions{})
+	_, diag, err := Decode([]byte("not a trace"), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

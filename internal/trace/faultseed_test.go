@@ -113,7 +113,7 @@ func TestInMemoryFaultsRoundTrip(t *testing.T) {
 	for _, inj := range faults.TraceInjectors(0.2) {
 		corrupted, rep := inj.Apply(in, 99)
 		enc := encodeT(t, corrupted)
-		back, err := trace.Read(bytes.NewReader(enc))
+		back, _, err := trace.ReadWith(bytes.NewReader(enc), strictOpts)
 		if err != nil {
 			// NaN/Inf counters serialise as parseable floats, so even
 			// those must round-trip strictly.

@@ -18,7 +18,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("")
 	f.Add("#PERFTRACK 1\n#param k=\"v with space\"\nB 1 0 5 5 \"fn x\" g.c 2 1 1 2 3 4 5 6\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := Read(bytes.NewReader([]byte(input)))
+		tr, _, err := ReadWith(bytes.NewReader([]byte(input)), strictOpts)
 		if err != nil {
 			return // rejecting is fine; panicking is not
 		}
@@ -26,29 +26,8 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("accepted trace failed to serialise: %v", err)
 		}
-		if _, err := Read(&buf); err != nil {
+		if _, _, err := ReadWith(&buf, strictOpts); err != nil {
 			t.Fatalf("writer output does not re-parse: %v", err)
-		}
-	})
-}
-
-// FuzzReadCSV ensures the CSV importer never panics.
-func FuzzReadCSV(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteCSV(&seed, sampleTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.String())
-	f.Add("task,thread\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ReadCSV(bytes.NewReader([]byte(input)))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, tr); err != nil {
-			t.Fatalf("accepted CSV failed to serialise: %v", err)
 		}
 	})
 }
@@ -65,7 +44,7 @@ func FuzzColbinNoPanic(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		for _, strict := range []bool{true, false} {
-			tr, _, err := DecodeAny(input, DecodeOptions{Strict: strict})
+			tr, _, err := Decode(input, DecodeOptions{Strict: strict})
 			if err != nil {
 				continue
 			}

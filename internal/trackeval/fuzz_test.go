@@ -38,7 +38,7 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 			if err := trace.Write(&buf, tr); err != nil {
 				t.Fatalf("frame %d: encoding: %v", i, err)
 			}
-			back, err := trace.Read(&buf)
+			back, _, err := trace.ReadWith(&buf, trace.DecodeOptions{Strict: true})
 			if err != nil {
 				t.Fatalf("frame %d: decoding what we encoded: %v", i, err)
 			}

@@ -180,15 +180,22 @@ func WriteResultJSON(w io.Writer, res *Result, ms []Metric) error {
 	return res.WriteJSON(w, ms)
 }
 
-// ReadTraceFile and WriteTraceFile expose the text trace codec.
-func ReadTraceFile(path string) (*Trace, error)  { return trace.ReadFile(path) }
+// ReadTraceFile decodes a trace file strictly, sniffing whether it holds
+// the text or the binary columnar (colbin) format.
+func ReadTraceFile(path string) (*Trace, error) {
+	t, _, err := trace.ReadFile(path, trace.DecodeOptions{Strict: true})
+	return t, err
+}
+
+// WriteTraceFile writes a trace file in the text format.
 func WriteTraceFile(path string, t *Trace) error { return trace.WriteFile(path, t) }
 
-// ReadTraceFileLenient decodes a trace file tolerating malformed burst
-// lines: instead of failing, each bad line is quarantined and reported in
-// the returned diagnostics. Use it to salvage partially corrupt traces.
+// ReadTraceFileLenient decodes a trace file in either format tolerating
+// malformed burst lines (or corrupt colbin blocks): instead of failing,
+// each bad line is quarantined and reported in the returned diagnostics.
+// Use it to salvage partially corrupt traces.
 func ReadTraceFileLenient(path string) (*Trace, DecodeDiagnostics, error) {
-	return trace.ReadFileWith(path, trace.DecodeOptions{Strict: false})
+	return trace.ReadFile(path, trace.DecodeOptions{Strict: false})
 }
 
 func DefaultMetrics() []Metric                            { return metrics.DefaultSpace() }
