@@ -145,7 +145,7 @@ bench-stream:
 # bench-codec runs the trace-codec microbenchmarks (text vs binary
 # columnar reads/writes over the same oracle trace), rewriting
 # BENCH_codec.json; fails if colbin decode is not >= 5x the text parse
-# or the cache-hit re-read (DecodeColbinInto) is not >= 10x.
+# or the cache-hit re-read (the same colbin decode) is not >= 10x.
 bench-codec:
 	scripts/bench_codec.sh
 
