@@ -138,10 +138,9 @@ func WriteFile(path string, t *Trace) error {
 }
 
 // DecodeOptions selects between strict, all-or-nothing decoding and
-// lenient decoding, which
-// quarantines malformed lines with line-numbered diagnostics and keeps
-// going — the mode real, partially corrupted traces need. The zero value
-// is maximally lenient.
+// lenient decoding, which quarantines malformed lines with line-numbered
+// diagnostics and keeps going — the mode real, partially corrupted
+// traces need. The zero value is maximally lenient.
 type DecodeOptions struct {
 	// Strict aborts at the first malformed line. False quarantines
 	// malformed lines instead.
