@@ -41,6 +41,25 @@ func benchPoints(n, dims int, seed uint64) [][]float64 {
 	return pts
 }
 
+// clumpPoints builds n 2-D points in 4 clumps of 0.02 × 0.003, the shape
+// of a frame trackd serves: every clump is narrower than the production
+// eps of 0.07, so each member's neighbourhood is its whole clump. Points
+// cycle through the clumps, as bursts cycle through an SPMD trace's
+// phases.
+func clumpPoints(n int, seed uint64) [][]float64 {
+	rng := rand.New(rand.NewPCG(seed, 0xc1a3))
+	var centres [4][2]float64
+	for c := range centres {
+		centres[c] = [2]float64{0.1 + 0.8*float64(c)/3, 0.1 + 0.8*rng.Float64()}
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		c := centres[i%len(centres)]
+		pts[i] = []float64{c[0] + 0.02*(rng.Float64()-0.5), c[1] + 0.003*(rng.Float64()-0.5)}
+	}
+	return pts
+}
+
 func BenchmarkCoreClusterDBSCAN(b *testing.B) {
 	pts := benchPoints(5000, 2, 1)
 	b.ReportAllocs()
@@ -65,6 +84,17 @@ func BenchmarkCoreClusterDBSCAN4D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DBSCAN(pts, 0.08, 8)
+	}
+}
+
+// BenchmarkCoreClusterDBSCANClumped measures DBSCAN on a frame shaped
+// like a trackd job's: 5,120 points in 4 clumps narrower than eps.
+func BenchmarkCoreClusterDBSCANClumped(b *testing.B) {
+	pts := clumpPoints(5120, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DBSCAN(pts, 0.07, 5)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -326,6 +327,41 @@ func TestCentroids(t *testing.T) {
 	}
 	if Centroids(pts, labels, 0) != nil {
 		t.Error("zero clusters should return nil")
+	}
+}
+
+// TestRunFlatInterrupt checks that an error from Config.Interrupt aborts
+// the clustering run with that error and no result, whether it comes at
+// the first poll or the last.
+func TestRunFlatInterrupt(t *testing.T) {
+	x, dims := flatten(clumpPoints(5000, 11))
+	cfg := Config{Eps: 0.07, MinPts: 5}
+	want, err := RunFlat(x, dims, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	cfg.Interrupt = func() error { polls++; return nil }
+	got, err := RunFlat(x, dims, nil, cfg)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a nil Interrupt changed the run: err %v", err)
+	}
+	if polls < 2 {
+		t.Fatalf("Interrupt polled %d times over 5,000 points, want at least 2", polls)
+	}
+	stop := errors.New("stop")
+	for _, k := range []int{1, polls} {
+		calls := 0
+		cfg.Interrupt = func() error {
+			if calls++; calls == k {
+				return stop
+			}
+			return nil
+		}
+		res, err := RunFlat(x, dims, nil, cfg)
+		if !errors.Is(err, stop) || res != nil {
+			t.Fatalf("Interrupt failing at call %d of %d: got (%v, %v), want (nil, stop)", k, polls, res, err)
+		}
 	}
 }
 

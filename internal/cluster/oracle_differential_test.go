@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"perftrack/internal/oracle"
@@ -18,16 +20,108 @@ import (
 
 func TestOracleDBSCANDifferential(t *testing.T) {
 	for seed := uint64(0); seed < 100; seed++ {
-		sc := oracle.GenScenario(seed)
-		got := DBSCAN(sc.Points, sc.Eps, sc.MinPts)
-		want := oracle.DBSCAN(sc.Points, sc.Eps, sc.MinPts)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d (n=%d eps=%v minPts=%d): label[%d] = %d, oracle says %d",
-					seed, len(sc.Points), sc.Eps, sc.MinPts, i, got[i], want[i])
-			}
+		checkDBSCAN(t, "lattice", seed, oracle.GenScenario(seed))
+	}
+	for seed := uint64(0); seed < 30; seed++ {
+		for _, dims := range []int{2, 4} {
+			checkDBSCAN(t, fmt.Sprintf("clumped %d-D", dims), seed, clumpedScenario(seed, dims))
 		}
 	}
+}
+
+func checkDBSCAN(t *testing.T, kind string, seed uint64, sc oracle.Scenario) {
+	t.Helper()
+	got := DBSCAN(sc.Points, sc.Eps, sc.MinPts)
+	want := oracle.DBSCAN(sc.Points, sc.Eps, sc.MinPts)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d (n=%d eps=%v minPts=%d): label[%d] = %d, oracle says %d",
+				kind, seed, len(sc.Points), sc.Eps, sc.MinPts, i, got[i], want[i])
+		}
+	}
+}
+
+// clumpedScenario builds the shape of the frames trackd serves: 1–5
+// clumps of 200–1,500 members, each narrower than eps, so every member's
+// neighbourhood is its whole clump and most expansions change nothing.
+// Around the clumps it plants the points a settled neighbourhood can
+// still hide:
+//   - noise points 1.05–1.4 eps beyond a clump, in its own or an
+//     adjacent cell, which must stay noise;
+//   - between two paired clumps, a border point within eps of one core
+//     "spur" of each clump and of nothing else, which the lower-numbered
+//     cluster must adopt;
+//   - clump centres on cell boundaries, so every clump straddles cells.
+//
+// In half the scenarios the noise and border points come first in point
+// order, so they are marked noise before any cluster reaches them.
+func clumpedScenario(seed uint64, dims int) oracle.Scenario {
+	rng := rand.New(rand.NewPCG(seed, 0xc1a3bed))
+	eps := 0.05 + 0.01*float64(rng.IntN(4))
+	minPts := 4 + rng.IntN(5)
+	var members, specials [][]float64
+	along := func(p []float64, d int, dx float64) []float64 {
+		q := append([]float64(nil), p...)
+		q[d] += dx
+		return q
+	}
+	var prev []float64 // centre of the previous clump
+	var prevH float64  // its half-width
+	for c, k := 0, 1+rng.IntN(5); c < k; c++ {
+		// Half-width per dimension; the diameter stays below eps in 4-D.
+		h := eps * (0.05 + 0.1*rng.Float64())
+		centre := make([]float64, dims)
+		if prev != nil && rng.IntN(2) == 0 {
+			// Pair with the previous clump along dim 0: spur, border
+			// point and spur 0.9 eps apart, each spur 0.3 eps out from
+			// its clump, so the border point has 3 neighbours (< minPts).
+			spurA := along(prev, 0, prevH+0.3*eps)
+			border := along(spurA, 0, 0.9*eps)
+			spurB := along(border, 0, 0.9*eps)
+			members = append(members, spurA, spurB)
+			specials = append(specials, border)
+			copy(centre, spurB)
+			centre[0] += 0.3*eps + h
+		} else {
+			if prev != nil {
+				centre[0] = math.Ceil((prev[0]+prevH+3*eps+h)/eps) * eps
+			}
+			for d := 1; d < dims; d++ {
+				centre[d] = eps * float64(1+rng.IntN(4))
+			}
+		}
+		// Sizes span 200–1,500 but lean small: the brute-force oracle
+		// is quadratic in the point count.
+		u := rng.Float64()
+		for m, size := 0, 200+int(1300*u*u*u); m < size; m++ {
+			p := make([]float64, dims)
+			for d := range p {
+				p[d] = centre[d] + h*(2*rng.Float64()-1)
+			}
+			members = append(members, p)
+		}
+		for o, noise := 0, rng.IntN(4); o < noise; o++ {
+			// Off dim 0, so no noise point comes near a border point.
+			off := h + eps*(1.05+0.35*rng.Float64())
+			if rng.IntN(2) == 0 {
+				off = -off
+			}
+			specials = append(specials, along(centre, 1+rng.IntN(dims-1), off))
+		}
+		prev, prevH = centre, h
+	}
+	shuffle := func(ps [][]float64) {
+		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	}
+	pts := append(specials, members...)
+	if rng.IntN(2) == 0 {
+		shuffle(specials)
+		shuffle(members)
+		pts = append(specials, members...)
+	} else {
+		shuffle(pts)
+	}
+	return oracle.Scenario{Points: pts, Eps: eps, MinPts: minPts}
 }
 
 func TestOracleNNDifferential(t *testing.T) {
@@ -106,14 +200,9 @@ func FuzzDBSCANDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		sc := oracle.GenScenario(seed)
-		got := DBSCAN(sc.Points, sc.Eps, sc.MinPts)
-		want := oracle.DBSCAN(sc.Points, sc.Eps, sc.MinPts)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: label[%d] = %d, oracle says %d", seed, i, got[i], want[i])
-			}
-		}
+		checkDBSCAN(t, "lattice", seed, oracle.GenScenario(seed))
+		dims := 2 + 2*int(seed%2)
+		checkDBSCAN(t, fmt.Sprintf("clumped %d-D", dims), seed, clumpedScenario(seed, dims))
 	})
 }
 
