@@ -164,8 +164,19 @@ const interruptEvery = 1024
 // dbscanFlat is DBSCAN over strided flat storage with an optional
 // interrupt hook polled every interruptEvery neighbourhood expansions, so
 // a cancelled job stops mid-cluster instead of finishing the whole frame.
-// The neighbour and queue buffers are reused across every expansion of
-// the run, so the steady state allocates nothing per query.
+//
+// An expansion only ever changes the state of *open* points within eps:
+// unvisited ones (labelled and queued) and noise-marked ones (adopted as
+// border points). A per-bucket count of open points therefore lets a
+// dequeued member skip its neighbour scan and core test when no bucket
+// around it holds an open point: the expansion would be a no-op whether
+// or not the member is core, so states, queue order and labels are those
+// of the full algorithm. On frames whose clusters are narrower than eps,
+// the first expansion settles the whole cluster and every later member
+// is skipped after one walk of its 3^dims cells.
+//
+// The neighbour, slot and queue buffers are reused across every
+// expansion of the run, so the steady state allocates nothing per query.
 func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func() error) ([]int, error) {
 	n := 0
 	if dims > 0 {
@@ -181,6 +192,17 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 	)
 	state := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
 	g := newGridIndexFlat(x, dims, eps)
+	// open[s] counts the points of bucket s still unvisited or noise;
+	// slotOf maps a point to its bucket.
+	open := make([]int32, len(g.start)-1)
+	slotOf := make([]int32, n)
+	for s := range open {
+		members := g.slotPoints(int32(s))
+		open[s] = int32(len(members))
+		for _, i := range members {
+			slotOf[i] = int32(s)
+		}
+	}
 	next := 0
 	work := 0
 	poll := func() error {
@@ -194,7 +216,27 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 		return interrupt()
 	}
 	neigh := make([]int, 0, 64)
+	var slots []int32
 	var queue []int
+	// absorb gives cluster next every open point of neigh. Labelling
+	// happens at ENQUEUE time so each cluster member enters the queue at
+	// most once; a member queued here is dequeued exactly once for its
+	// own expansion check. Dequeue-time labelling (the textbook
+	// formulation) admits O(members·degree) duplicate queue entries on
+	// dense data — identical labels, far more queue traffic.
+	absorb := func(neigh []int) {
+		for _, k := range neigh {
+			switch state[k] {
+			case noiseMark: // border point adopted by the cluster
+			case unvisited:
+				queue = append(queue, k)
+			default:
+				continue
+			}
+			state[k] = next
+			open[slotOf[k]]--
+		}
+	}
 	for i := 0; i < n; i++ {
 		if state[i] != unvisited {
 			continue
@@ -209,43 +251,23 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 		}
 		next++
 		state[i] = next
-		// Labelling happens at ENQUEUE time so each cluster member enters
-		// the queue at most once; a member queued here is dequeued exactly
-		// once for its own expansion check. Dequeue-time labelling (the
-		// textbook formulation) admits O(members·degree) duplicate queue
-		// entries on dense data — identical labels, far more queue traffic.
+		open[slotOf[i]]--
 		queue = queue[:0]
-		for _, j := range neigh {
-			if state[j] == noiseMark {
-				state[j] = next // border point adopted by the cluster
-				continue
-			}
-			if state[j] != unvisited {
-				continue
-			}
-			state[j] = next
-			queue = append(queue, j)
-		}
+		absorb(neigh)
 		for qi := 0; qi < len(queue); qi++ {
 			if err := poll(); err != nil {
 				return nil, err
 			}
-			j := queue[qi]
-			neigh = g.neighbors(g.point(int32(j)), neigh)
+			q := g.point(int32(queue[qi]))
+			slots = g.cellSlots(q, slots)
+			if !anyOpen(open, slots) {
+				continue // settled neighbourhood: expanding changes nothing
+			}
+			neigh = g.nearSlots(q, slots, neigh)
 			if len(neigh) < minPts {
 				continue // border point: adopted, never expanded
 			}
-			for _, k := range neigh {
-				if state[k] == noiseMark {
-					state[k] = next
-					continue
-				}
-				if state[k] != unvisited {
-					continue
-				}
-				state[k] = next
-				queue = append(queue, k)
-			}
+			absorb(neigh)
 		}
 	}
 	for i, s := range state {
@@ -256,6 +278,16 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 		}
 	}
 	return labels, nil
+}
+
+// anyOpen reports whether any of the given buckets holds an open point.
+func anyOpen(open []int32, slots []int32) bool {
+	for _, s := range slots {
+		if open[s] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // EstimateEps implements the k-dist heuristic: it computes the distance to

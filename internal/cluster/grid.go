@@ -208,12 +208,12 @@ func encodeWide(buf []byte, c []int64) {
 	}
 }
 
-// bucket returns the indices of the points in cell c, or nil. The scratch
-// byte buffer is only touched in wide mode.
-func (g *gridIndex) bucket(c []int64, wideBuf []byte) []int32 {
+// slot returns the bucket slot of cell c, or -1 when no point lies in it.
+// The scratch byte buffer is only touched in wide mode.
+func (g *gridIndex) slot(c []int64, wideBuf []byte) int32 {
 	for d, v := range c {
 		if v < g.cellMin[d] || v > g.cellMax[d] {
-			return nil
+			return -1
 		}
 	}
 	var s int32
@@ -234,8 +234,22 @@ func (g *gridIndex) bucket(c []int64, wideBuf []byte) []int32 {
 		s, ok = g.wide[string(wideBuf)]
 	}
 	if !ok {
+		return -1
+	}
+	return s
+}
+
+// bucket returns the indices of the points in cell c, or nil.
+func (g *gridIndex) bucket(c []int64, wideBuf []byte) []int32 {
+	s := g.slot(c, wideBuf)
+	if s < 0 {
 		return nil
 	}
+	return g.slotPoints(s)
+}
+
+// slotPoints returns the indices of the points in bucket slot s.
+func (g *gridIndex) slotPoints(s int32) []int32 {
 	return g.idx[g.start[s]:g.start[s+1]]
 }
 
@@ -294,7 +308,6 @@ func (g *gridIndex) neighbors(q []float64, out []int) []int {
 	if g.n == 0 {
 		return out
 	}
-	eps2 := g.eps * g.eps
 	var sc queryScratch
 	base := scratchInts(&sc.base, g.dims)
 	cell := scratchInts(&sc.cell, g.dims)
@@ -310,36 +323,89 @@ func (g *gridIndex) neighbors(q []float64, out []int) []int {
 		for d := 0; d < g.dims; d++ {
 			cell[d] = base[d] + off[d]
 		}
-		bucket := g.bucket(cell, wbuf)
-		if g.dims == 2 && len(bucket) > 0 {
-			// Unrolled 2-D candidate scan: same left-associated
-			// accumulation as sqDistTo, no per-candidate call.
-			q0, q1 := q[0], q[1]
-			for _, pi := range bucket {
-				b := int(pi) * 2
-				d0 := g.x[b] - q0
-				d1 := g.x[b+1] - q1
-				if d0*d0+d1*d1 <= eps2 {
-					out = append(out, int(pi))
-				}
-			}
-		} else {
-			for _, pi := range bucket {
-				if g.sqDistTo(pi, q) <= eps2 {
-					out = append(out, int(pi))
-				}
-			}
-		}
-		d := 0
-		for ; d < g.dims; d++ {
-			off[d]++
-			if off[d] <= 1 {
-				break
-			}
-			off[d] = -1
-		}
-		if d == g.dims {
+		out = g.appendNear(q, g.bucket(cell, wbuf), out)
+		if !nextOffset(off) {
 			break
+		}
+	}
+	return out
+}
+
+// cellSlots appends to out[:0] the slots of the populated cells among the
+// 3^dims cells around q, in the order neighbors visits them, and returns
+// it. Scanning them with nearSlots yields exactly neighbors(q).
+func (g *gridIndex) cellSlots(q []float64, out []int32) []int32 {
+	out = out[:0]
+	if g.n == 0 {
+		return out
+	}
+	var sc queryScratch
+	base := scratchInts(&sc.base, g.dims)
+	cell := scratchInts(&sc.cell, g.dims)
+	off := scratchInts(&sc.off, g.dims)
+	wbuf := g.wideBuf(&sc)
+	for d := 0; d < g.dims; d++ {
+		base[d] = cellCoord(q[d], g.eps)
+		off[d] = -1
+	}
+	for {
+		for d := 0; d < g.dims; d++ {
+			cell[d] = base[d] + off[d]
+		}
+		if s := g.slot(cell, wbuf); s >= 0 {
+			out = append(out, s)
+		}
+		if !nextOffset(off) {
+			break
+		}
+	}
+	return out
+}
+
+// nearSlots appends to out[:0] the points of the given slots within eps
+// of q, slot by slot, and returns it.
+func (g *gridIndex) nearSlots(q []float64, slots []int32, out []int) []int {
+	out = out[:0]
+	for _, s := range slots {
+		out = g.appendNear(q, g.slotPoints(s), out)
+	}
+	return out
+}
+
+// nextOffset advances the odometer of per-dimension cell offsets in
+// {-1, 0, 1}, lowest dimension fastest; it reports false once every
+// combination has been visited.
+func nextOffset(off []int64) bool {
+	for d := range off {
+		off[d]++
+		if off[d] <= 1 {
+			return true
+		}
+		off[d] = -1
+	}
+	return false
+}
+
+// appendNear appends the points of bucket within eps of q to out.
+func (g *gridIndex) appendNear(q []float64, bucket []int32, out []int) []int {
+	eps2 := g.eps * g.eps
+	if g.dims == 2 {
+		// Unrolled 2-D candidate scan: same left-associated accumulation
+		// as sqDistTo, no per-candidate call.
+		q0, q1 := q[0], q[1]
+		for _, pi := range bucket {
+			b := int(pi) * 2
+			d0 := g.x[b] - q0
+			d1 := g.x[b+1] - q1
+			if d0*d0+d1*d1 <= eps2 {
+				out = append(out, int(pi))
+			}
+		}
+		return out
+	}
+	for _, pi := range bucket {
+		if g.sqDistTo(pi, q) <= eps2 {
+			out = append(out, int(pi))
 		}
 	}
 	return out
