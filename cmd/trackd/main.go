@@ -215,14 +215,18 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 
+	// Handle signals before /readyz can answer, so a supervisor that
+	// stops the daemon as soon as it is ready gets a graceful shutdown,
+	// not the signal's default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	// The smoke harness and scripts parse this line to find the port.
 	fmt.Printf("trackd: listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Printf("trackd: %s, shutting down", sig)
