@@ -215,9 +215,8 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 
-	// Handle signals before /readyz can answer, so a supervisor that
-	// stops the daemon as soon as it is ready gets a graceful shutdown,
-	// not the signal's default action.
+	// Handle signals before /readyz can answer: a SIGTERM sent as soon as
+	// the daemon is ready must shut it down, not kill it.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 

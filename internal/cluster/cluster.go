@@ -164,17 +164,9 @@ const interruptEvery = 1024
 // dbscanFlat is DBSCAN over strided flat storage with an optional
 // interrupt hook polled every interruptEvery neighbourhood expansions, so
 // a cancelled job stops mid-cluster instead of finishing the whole frame.
-//
-// An expansion only ever changes the state of *open* points within eps:
-// unvisited ones (labelled and queued) and noise-marked ones (adopted as
-// border points). A per-bucket count of open points therefore lets a
-// dequeued member skip its neighbour scan and core test when no bucket
-// around it holds an open point: the expansion would be a no-op whether
-// or not the member is core, so states, queue order and labels are those
-// of the full algorithm. On frames whose clusters are narrower than eps,
-// the first expansion settles the whole cluster and every later member
-// is skipped after one walk of its 3^dims cells.
-//
+// An expansion only changes *open* points within eps (unvisited or noise),
+// so a dequeued member with no open point in its 3^dims cells is skipped
+// unscanned: the labels are those of the full algorithm (DESIGN.md §11).
 // The neighbour, slot and queue buffers are reused across every
 // expansion of the run, so the steady state allocates nothing per query.
 func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func() error) ([]int, error) {
@@ -192,14 +184,12 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 	)
 	state := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
 	g := newGridIndexFlat(x, dims, eps)
-	// open[s] counts the points of bucket s still unvisited or noise;
-	// slotOf maps a point to its bucket.
+	// open[s] counts the points of bucket s still unvisited or noise.
 	open := make([]int32, len(g.start)-1)
 	slotOf := make([]int32, n)
 	for s := range open {
-		members := g.slotPoints(int32(s))
-		open[s] = int32(len(members))
-		for _, i := range members {
+		open[s] = g.start[s+1] - g.start[s]
+		for _, i := range g.idx[g.start[s]:g.start[s+1]] {
 			slotOf[i] = int32(s)
 		}
 	}
@@ -260,10 +250,17 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 			}
 			q := g.point(int32(queue[qi]))
 			slots = g.cellSlots(q, slots)
-			if !anyOpen(open, slots) {
-				continue // settled neighbourhood: expanding changes nothing
+			settled := true
+			for _, s := range slots {
+				settled = settled && open[s] == 0
 			}
-			neigh = g.nearSlots(q, slots, neigh)
+			if settled {
+				continue // expanding would change nothing
+			}
+			neigh = neigh[:0]
+			for _, s := range slots {
+				neigh = g.appendNear(q, g.idx[g.start[s]:g.start[s+1]], neigh)
+			}
 			if len(neigh) < minPts {
 				continue // border point: adopted, never expanded
 			}
@@ -278,16 +275,6 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 		}
 	}
 	return labels, nil
-}
-
-// anyOpen reports whether any of the given buckets holds an open point.
-func anyOpen(open []int32, slots []int32) bool {
-	for _, s := range slots {
-		if open[s] > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // EstimateEps implements the k-dist heuristic: it computes the distance to

@@ -208,7 +208,7 @@ func encodeWide(buf []byte, c []int64) {
 	}
 }
 
-// slot returns the bucket slot of cell c, or -1 when no point lies in it.
+// slot returns the bucket slot of cell c, or -1 when the cell is empty.
 // The scratch byte buffer is only touched in wide mode.
 func (g *gridIndex) slot(c []int64, wideBuf []byte) int32 {
 	for d, v := range c {
@@ -245,11 +245,6 @@ func (g *gridIndex) bucket(c []int64, wideBuf []byte) []int32 {
 	if s < 0 {
 		return nil
 	}
-	return g.slotPoints(s)
-}
-
-// slotPoints returns the indices of the points in bucket slot s.
-func (g *gridIndex) slotPoints(s int32) []int32 {
 	return g.idx[g.start[s]:g.start[s+1]]
 }
 
@@ -332,8 +327,7 @@ func (g *gridIndex) neighbors(q []float64, out []int) []int {
 }
 
 // cellSlots appends to out[:0] the slots of the populated cells among the
-// 3^dims cells around q, in the order neighbors visits them, and returns
-// it. Scanning them with nearSlots yields exactly neighbors(q).
+// 3^dims cells around q, in the order neighbors visits them.
 func (g *gridIndex) cellSlots(q []float64, out []int32) []int32 {
 	out = out[:0]
 	if g.n == 0 {
@@ -362,19 +356,8 @@ func (g *gridIndex) cellSlots(q []float64, out []int32) []int32 {
 	return out
 }
 
-// nearSlots appends to out[:0] the points of the given slots within eps
-// of q, slot by slot, and returns it.
-func (g *gridIndex) nearSlots(q []float64, slots []int32, out []int) []int {
-	out = out[:0]
-	for _, s := range slots {
-		out = g.appendNear(q, g.slotPoints(s), out)
-	}
-	return out
-}
-
 // nextOffset advances the odometer of per-dimension cell offsets in
-// {-1, 0, 1}, lowest dimension fastest; it reports false once every
-// combination has been visited.
+// {-1, 0, 1}, lowest dimension first; false means it has wrapped.
 func nextOffset(off []int64) bool {
 	for d := range off {
 		off[d]++

@@ -51,7 +51,7 @@ func checkDBSCAN(t *testing.T, kind string, seed uint64, sc oracle.Scenario) {
 //   - between two paired clumps, a border point within eps of one core
 //     "spur" of each clump and of nothing else, which the lower-numbered
 //     cluster must adopt;
-//   - clump centres on cell boundaries, so every clump straddles cells.
+//   - unpaired clumps centred on cell boundaries, so they straddle cells.
 //
 // In half the scenarios the noise and border points come first in point
 // order, so they are marked noise before any cluster reaches them.
@@ -113,14 +113,13 @@ func clumpedScenario(seed uint64, dims int) oracle.Scenario {
 	shuffle := func(ps [][]float64) {
 		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
 	}
-	pts := append(specials, members...)
 	if rng.IntN(2) == 0 {
 		shuffle(specials)
 		shuffle(members)
-		pts = append(specials, members...)
-	} else {
-		shuffle(pts)
+		return oracle.Scenario{Points: append(specials, members...), Eps: eps, MinPts: minPts}
 	}
+	pts := append(specials, members...)
+	shuffle(pts)
 	return oracle.Scenario{Points: pts, Eps: eps, MinPts: minPts}
 }
 
