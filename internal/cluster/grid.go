@@ -255,7 +255,7 @@ func (g *gridIndex) point(i int32) []float64 {
 
 // sqDistTo returns the squared distance from indexed point i to q, with
 // the same per-dimension accumulation order as sqDist. Kept small enough
-// to inline; the 2-D hot paths in visitRing and neighbors carry their own
+// to inline; the 2-D hot paths in visitRing and appendNear carry their own
 // unrolled copies with identical (left-associated) accumulation.
 func (g *gridIndex) sqDistTo(i int32, q []float64) float64 {
 	base := int(i) * g.dims
