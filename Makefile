@@ -32,7 +32,7 @@ store-smoke:
 	$(GO) test -run 'TestStoreSmoke|TestKill9Smoke' -count=1 ./cmd/trackd
 
 # oracle runs the differential / metamorphic harness: every optimized
-# path (grid DBSCAN, grid NN, parallel displacement, Needleman–Wunsch)
+# path (grid DBSCAN, grid NN, box-bounded displacement, Needleman–Wunsch)
 # checked for exact agreement with the brute-force references in
 # internal/oracle across hundreds of seeded scenarios, plus the
 # golden-file rendering tests and the seed-sweep determinism check.

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"runtime"
+	"math"
 	"sort"
-	"sync"
 
 	"perftrack/internal/align"
 	"perftrack/internal/cluster"
@@ -20,6 +19,12 @@ import (
 // normalised) performance space. Cell (i, j) is the fraction of bursts of
 // object A_i whose nearest clustered burst of b belongs to B_j — the
 // paper's Figure 3.
+//
+// Only the label of the nearest burst matters, so most queries never look
+// for the burst itself: the bounding boxes of b's clusters settle the
+// label whenever one box is strictly nearer than every other can be (see
+// labelBoxes). The rest, ties and near-ties included, ask the exact
+// nearest-neighbour index, whose lowest-index tie-break decides them.
 func Displacement(a, b *Frame, cfg Config) *Matrix {
 	cfg = cfg.withDefaults()
 	m := NewMatrix("displacement", a.Index, b.Index, a.NumClusters, b.NumClusters)
@@ -29,8 +34,8 @@ func Displacement(a, b *Frame, cfg Config) *Matrix {
 	if len(b.Norm) > 0 {
 		dims = len(b.Norm[0])
 	}
-	var x []float64
-	var lbl []int
+	x := make([]float64, 0, len(b.Labels)*dims)
+	lbl := make([]int, 0, len(b.Labels))
 	for i, l := range b.Labels {
 		if l > 0 {
 			x = append(x, b.Norm[i]...)
@@ -40,54 +45,26 @@ func Displacement(a, b *Frame, cfg Config) *Matrix {
 	if len(lbl) == 0 || a.NumClusters == 0 {
 		return m
 	}
-	nn := cluster.NewNNFlat(x, dims, nnCell)
-	// Nearest-neighbour classification of every burst is the hottest loop
-	// of the pipeline; the queries are independent, so shard them across
-	// the CPUs. Per-worker tallies keep the result bit-identical to the
-	// sequential loop.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(a.Labels) {
-		workers = 1
-	}
-	tallies := make([][][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (len(a.Labels) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tally := make([][]float64, a.NumClusters+1)
-			for i := range tally {
-				tally[i] = make([]float64, b.NumClusters+1)
-			}
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(a.Labels) {
-				hi = len(a.Labels)
-			}
-			for i := lo; i < hi; i++ {
-				la := a.Labels[i]
-				if la <= 0 {
-					continue
-				}
-				j, _ := nn.Nearest(a.Norm[i])
-				if j < 0 {
-					continue
-				}
-				tally[la][lbl[j]]++
-			}
-			tallies[w] = tally
-		}()
-	}
-	wg.Wait()
+	boxes := newLabelBoxes(x, lbl, dims, b.NumClusters)
+	var nn *cluster.NN // built on the first query the boxes cannot settle
 	counts := make([]float64, a.NumClusters+1)
-	for _, tally := range tallies {
-		for la := 1; la <= a.NumClusters; la++ {
-			for lb := 1; lb <= b.NumClusters; lb++ {
-				m.P[la][lb] += tally[la][lb]
-				counts[la] += tally[la][lb]
-			}
+	for i, la := range a.Labels {
+		if la <= 0 {
+			continue
 		}
+		lb := boxes.label(a.Norm[i])
+		if lb == 0 {
+			if nn == nil {
+				nn = cluster.NewNNFlat(x, dims, nnCell)
+			}
+			j, _ := nn.Nearest(a.Norm[i])
+			if j < 0 {
+				continue
+			}
+			lb = lbl[j]
+		}
+		m.P[la][lb]++
+		counts[la]++
 	}
 	for i := 1; i <= a.NumClusters; i++ {
 		if counts[i] == 0 {
@@ -104,6 +81,105 @@ func Displacement(a, b *Frame, cfg Config) *Matrix {
 // nnCell is the grid cell size for nearest-neighbour classification in the
 // normalised unit square.
 const nnCell = 0.05
+
+// boxSlack is the relative margin by which a box's upper bound must clear
+// every other box's lower bound. It covers a multiply-add the compiler may
+// fuse in one distance expression and not in the other; it can only send
+// more queries to the exact search, never change an answer.
+const boxSlack = 1e-12
+
+// labelBoxes holds the bounding box of every non-empty cluster of a
+// frame's clustered points, and settles a query's nearest label from the
+// boxes alone when one cluster is certainly nearest. For a query q and a
+// box j it computes L_j and U_j, the least and the greatest squared
+// distance from q to any point of the box, with the expression
+// cluster.NN uses for a point (Σ(p[d]-q[d])² in dimension order).
+// Rounding of p[d]-q[d] is monotone in p[d], and so are the squares and
+// the running sum, so every member p of cluster j has a computed distance
+// within [L_j, U_j]. If U_j·(1+boxSlack) < L_k strictly for every other
+// cluster k, the nearest member of j is strictly nearer than every member
+// of k, so j is the label the exact search would return.
+type labelBoxes struct {
+	dims   int
+	lo, hi []float64 // box of cluster j at [j*dims, (j+1)*dims)
+	labels []int     // the non-empty clusters, ascending
+	lower  []float64 // scratch: L_k per entry of labels
+}
+
+// newLabelBoxes builds the boxes of the clusters of the strided points x
+// (labels lbl, 1..k). It returns nil, which settles nothing, when any
+// coordinate is NaN or infinite.
+func newLabelBoxes(x []float64, lbl []int, dims, k int) *labelBoxes {
+	bx := &labelBoxes{
+		dims: dims,
+		lo:   make([]float64, (k+1)*dims),
+		hi:   make([]float64, (k+1)*dims),
+	}
+	seen := make([]bool, k+1)
+	for i, l := range lbl {
+		p := x[i*dims : (i+1)*dims]
+		lo, hi := bx.lo[l*dims:(l+1)*dims], bx.hi[l*dims:(l+1)*dims]
+		if !seen[l] {
+			seen[l] = true
+			copy(lo, p)
+			copy(hi, p)
+		}
+		for d, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil
+			}
+			lo[d] = min(lo[d], v)
+			hi[d] = max(hi[d], v)
+		}
+	}
+	for l := 1; l <= k; l++ {
+		if seen[l] {
+			bx.labels = append(bx.labels, l)
+		}
+	}
+	bx.lower = make([]float64, len(bx.labels))
+	return bx
+}
+
+// label returns the label of q's nearest clustered point when the boxes
+// settle it, and 0 when only the exact search can.
+func (bx *labelBoxes) label(q []float64) int {
+	if bx == nil {
+		return 0
+	}
+	best, bestU := -1, math.Inf(1)
+	for e, l := range bx.labels {
+		lo, hi := bx.lo[l*bx.dims:(l+1)*bx.dims], bx.hi[l*bx.dims:(l+1)*bx.dims]
+		var lsq, usq float64
+		for d, qd := range q[:bx.dims] {
+			dl, dh := lo[d]-qd, hi[d]-qd
+			var near float64 // the member-side difference nearest zero
+			switch {
+			case dl > 0:
+				near = dl
+			case dh < 0:
+				near = dh
+			}
+			far := max(math.Abs(dl), math.Abs(dh))
+			lsq += near * near
+			usq += far * far
+		}
+		bx.lower[e] = lsq
+		if usq < bestU {
+			best, bestU = e, usq
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	bound := bestU * (1 + boxSlack)
+	for e, lsq := range bx.lower {
+		if e != best && !(bound < lsq) {
+			return 0
+		}
+	}
+	return bx.labels[best]
+}
 
 // taskSequences extracts the chronological cluster-id sequence of every
 // task of the frame (noise bursts skipped), sampling at most sample tasks

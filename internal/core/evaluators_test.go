@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -62,6 +63,107 @@ func TestDisplacementEmptyFrames(t *testing.T) {
 	m := Displacement(fa, empty, cfg)
 	if len(m.NonZero()) != 0 {
 		t.Error("displacement into empty frame produced cells")
+	}
+}
+
+// onePointRows frames each query as its own A cluster, so row i of the
+// displacement matrix is one-hot on the label query i received.
+func onePointRows(queries ...[]float64) *Frame {
+	lbl := make([]int, len(queries))
+	for i := range lbl {
+		lbl[i] = i + 1
+	}
+	return labelledFrame(0, queries, lbl)
+}
+
+// checkBoxLabels asserts what the label bound alone decides for each
+// query (0 = left to the exact search), then that Displacement still
+// matches the oracle and gives row i the label want[i].
+func checkBoxLabels(t *testing.T, b *Frame, bounded, want []int, queries ...[]float64) {
+	t.Helper()
+	var x []float64
+	var lbl []int
+	for i, l := range b.Labels {
+		if l > 0 {
+			x = append(x, b.Norm[i]...)
+			lbl = append(lbl, l)
+		}
+	}
+	boxes := newLabelBoxes(x, lbl, len(b.Norm[0]), b.NumClusters)
+	for i, q := range queries {
+		if got := boxes.label(q); got != bounded[i] {
+			t.Errorf("query %v: box label %d, want %d", q, got, bounded[i])
+		}
+	}
+	a := onePointRows(queries...)
+	checkDisplacement(t, "boxes", a, b)
+	m := Displacement(a, b, Config{})
+	for i := range queries {
+		if m.P[i+1][want[i]] != 1 {
+			t.Errorf("query %v: row %v, want label %d", queries[i], m.P[i+1], want[i])
+		}
+	}
+}
+
+func TestDisplacementBoxTieTakesFallback(t *testing.T) {
+	// Cluster 2 is one point p = (0.5, 0.5), so its box gives U = 0 for a
+	// query at p. Cluster 1's box [0.5, 0.6] × [0.5, 0.5] holds p on its
+	// face (L = 0), and its member at p has the lower point index, so the
+	// exact search answers 1. U·(1+slack) == L here: a non-strict
+	// comparison would settle the query as 2.
+	b := labelledFrame(1,
+		[][]float64{{0.5, 0.5}, {0.6, 0.5}, {0.5, 0.5}, {0.5, 0.5}},
+		[]int{1, 1, 2, 2})
+	p := []float64{0.5, 0.5}
+	// A tie at a positive distance: q is 0.25 from cluster 3's only point
+	// and from cluster 1's member (0.25, 0.75) on its box's near face, so
+	// U_3 == L_1 = 0.0625, and the lower index (cluster 1) wins.
+	b2 := labelledFrame(1,
+		[][]float64{{0.25, 0.75}, {-0.5, 0.85}, {0.75, 0.75}},
+		[]int{1, 1, 3})
+	q := []float64{0.5, 0.75}
+	checkBoxLabels(t, b, []int{0}, []int{1}, p)
+	checkBoxLabels(t, b2, []int{0}, []int{1}, q)
+}
+
+func TestDisplacementBoxFaceAndOverlap(t *testing.T) {
+	// Cluster 1's box is [0.2, 0.4] × [0.2, 0.4] and cluster 2's is
+	// [0.3, 0.6] × [0.3, 0.6]: they overlap in [0.3, 0.4]².
+	b := labelledFrame(1, [][]float64{
+		{0.2, 0.2}, {0.4, 0.4}, {0.35, 0.25},
+		{0.3, 0.3}, {0.6, 0.6}, {0.55, 0.35},
+		{0.9, 0.9}, {0.95, 0.92}, // cluster 3, far away
+	}, []int{1, 1, 1, 2, 2, 2, 3, 3})
+	queries := [][]float64{
+		{0.4, 0.3},    // on the face x = 0.4 of box 1, inside box 2
+		{0.32, 0.32},  // inside both boxes
+		{0.1, 0.3},    // outside both, but box 2 may hold a nearer point
+		{0.93, 0.91},  // inside box 3 only, the others far
+		{0.35, 0.2},   // on the bottom face of box 1, outside box 2
+		{0.61, 0.625}, // just outside box 2
+		{0.3, 0.3},    // a member of 2 on the corner of box 2, inside box 1
+	}
+	checkBoxLabels(t, b,
+		[]int{0, 0, 0, 3, 0, 0, 0},
+		[]int{1, 2, 1, 3, 1, 2, 2},
+		queries...)
+}
+
+func TestDisplacementNonFiniteDisablesBoxes(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := labelledFrame(1, [][]float64{
+			{0.1, 0.1}, {0.12, 0.1},
+			{0.8, 0.8}, {0.8, bad},
+		}, []int{1, 1, 2, 2})
+		var x []float64
+		for _, p := range b.Norm {
+			x = append(x, p...)
+		}
+		if bx := newLabelBoxes(x, b.Labels, 2, 2); bx != nil {
+			t.Errorf("coordinate %v: boxes built, want none", bad)
+		}
+		a := onePointRows([]float64{0.11, 0.1}, []float64{0.79, 0.8}, []float64{0.5, 0.5})
+		checkDisplacement(t, fmt.Sprintf("coordinate %v", bad), a, b)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"perftrack/internal/oracle"
 )
 
-// Differential harness for the displacement evaluator: the parallel,
+// Differential harness for the displacement evaluator: the box-bounded,
 // grid-accelerated cross-classification must be bit-identical to the
-// sequential linear-scan reference in internal/oracle. The per-worker
-// tallies are integer-valued floats merged before the single division per
-// row, so exact equality is the contract, not an approximation.
+// linear-scan reference in internal/oracle. The tallies are
+// integer-valued floats divided once per row, so exact equality is the
+// contract, not an approximation.
 
 // frameFromScenario wraps a seeded point scenario as a minimal Frame: the
 // displacement evaluator only consumes Norm, Labels and NumClusters.
