@@ -8,6 +8,7 @@ package align
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -110,10 +111,15 @@ func Star(seqs [][]int, sc Scoring) *Alignment {
 		}
 		all[k] = a
 	}
+	// SPMD tasks usually run the same sequence, and Pairwise is
+	// deterministic, so each distinct sequence is aligned once and its
+	// duplicates share the record (the merge below only reads it). The
+	// centre keeps its identity path; a copy of it is still aligned.
+	rep, todo := distinctSequences(seqs, centre)
 	// The per-sequence alignments are independent and each writes only its
 	// own all[k] slot, so the result is identical regardless of schedule;
 	// run them across a bounded worker pool.
-	if workers := min(runtime.GOMAXPROCS(0), len(seqs)); workers > 1 {
+	if workers := min(runtime.GOMAXPROCS(0), len(todo)); workers > 1 {
 		var wg sync.WaitGroup
 		next := make(chan int)
 		for w := 0; w < workers; w++ {
@@ -125,15 +131,18 @@ func Star(seqs [][]int, sc Scoring) *Alignment {
 				}
 			}()
 		}
-		for k := range seqs {
+		for _, k := range todo {
 			next <- k
 		}
 		close(next)
 		wg.Wait()
 	} else {
-		for k := range seqs {
+		for _, k := range todo {
 			alignOne(k)
 		}
+	}
+	for k, r := range rep {
+		all[k] = all[r]
 	}
 	for _, a := range all {
 		for p, ins := range a.atPos {
@@ -164,6 +173,41 @@ func Star(seqs [][]int, sc Scoring) *Alignment {
 		rows[k] = row
 	}
 	return &Alignment{Rows: rows}
+}
+
+// distinctSequences groups the sequences other than the centre by
+// content. rep[k] is the first sequence equal to seqs[k] (k itself for the
+// first of a group, and for the centre); todo lists the centre and the
+// first of every group, the sequences that need aligning. Groups are keyed
+// by a hash and confirmed with slices.Equal; a hash collision between
+// different sequences only costs one more alignment.
+func distinctSequences(seqs [][]int, centre int) (rep, todo []int) {
+	rep = make([]int, len(seqs))
+	first := make(map[uint64]int, len(seqs))
+	for k, s := range seqs {
+		rep[k] = k
+		if k != centre {
+			h := hashSeq(s)
+			if r, ok := first[h]; ok && slices.Equal(seqs[r], s) {
+				rep[k] = r
+				continue
+			} else if !ok {
+				first[h] = k
+			}
+		}
+		todo = append(todo, k)
+	}
+	return rep, todo
+}
+
+// hashSeq is FNV-1a over the symbols of s.
+func hashSeq(s []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range s {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // CoOccurrence returns, for every pair of distinct symbols (i, j), the

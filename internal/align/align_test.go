@@ -3,6 +3,7 @@ package align
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,47 @@ func TestStarRowsAlignedEqually(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStarRowsProjectToPairwise checks every row of a star alignment
+// against its own pairwise alignment with the centre: dropping the columns
+// where both the row and the centre row are gaps must give exactly
+// Pairwise(centre, seq). The sequence sets draw from a pool of three, so
+// duplicates (of the centre too) are common and a row sharing the wrong
+// record shows.
+func TestStarRowsProjectToPairwise(t *testing.T) {
+	sc := DefaultScoring()
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x57a2))
+		pool := [][]int{randSeq(rng, 12), randSeq(rng, 12), randSeq(rng, 12)}
+		seqs := make([][]int, 1+rng.IntN(12))
+		for k := range seqs {
+			seqs[k] = slices.Clone(pool[rng.IntN(len(pool))])
+		}
+		centre := 0
+		for k, s := range seqs {
+			if len(s) > len(seqs[centre]) {
+				centre = k
+			}
+		}
+		al := Star(seqs, sc)
+		for k, row := range al.Rows {
+			var ga, gb []int
+			for c, sym := range row {
+				if cs := al.Rows[centre][c]; cs != Gap || sym != Gap {
+					ga, gb = append(ga, cs), append(gb, sym)
+				}
+			}
+			wa, wb := slices.Clone(seqs[centre]), slices.Clone(seqs[k])
+			if k != centre {
+				wa, wb, _ = Pairwise(seqs[centre], seqs[k], sc)
+			}
+			if !slices.Equal(ga, wa) || !slices.Equal(gb, wb) {
+				t.Fatalf("seed %d row %d: projects to %v / %v, pairwise gives %v / %v",
+					seed, k, ga, gb, wa, wb)
+			}
+		}
 	}
 }
 
