@@ -188,10 +188,12 @@ func distinctSequences(seqs [][]int, centre int) (rep, todo []int) {
 		rep[k] = k
 		if k != centre {
 			h := hashSeq(s)
-			if r, ok := first[h]; ok && slices.Equal(seqs[r], s) {
+			r, ok := first[h]
+			if ok && slices.Equal(seqs[r], s) {
 				rep[k] = r
 				continue
-			} else if !ok {
+			}
+			if !ok {
 				first[h] = k
 			}
 		}
