@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -56,10 +60,70 @@ func exportBytes(t *testing.T, res *Result, cfg Config) []byte {
 	return buf.Bytes()
 }
 
+// pairDigest hashes the per-pair evidence the export does not carry:
+// the bits of every entry of each pair's displacement, call-stack, SPMD
+// and sequence matrices, plus the final relations. Two results with
+// equal exports but different evaluator evidence digest differently.
+func pairDigest(res *Result) string {
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	putMatrix := func(m *Matrix) {
+		if m == nil {
+			put(math.MaxUint64)
+			return
+		}
+		put(uint64(len(m.P)))
+		for _, row := range m.P {
+			put(uint64(len(row)))
+			for _, v := range row {
+				put(math.Float64bits(v))
+			}
+		}
+	}
+	putInts := func(xs []int) {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(uint64(x))
+		}
+	}
+	for _, pr := range res.Pairs {
+		put(uint64(pr.From))
+		put(uint64(pr.To))
+		for _, m := range []*Matrix{pr.DispAB, pr.DispBA, pr.StackAB, pr.StackBA, pr.SPMDA, pr.SPMDB, pr.Seq} {
+			putMatrix(m)
+		}
+		put(uint64(len(pr.Relations)))
+		for _, r := range pr.Relations {
+			putInts(r.A)
+			putInts(r.B)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sealWindow appends one window's bursts to a fresh WindowBuilder in a
+// seeded random permutation and seals it as frame index.
+func sealWindow(t *testing.T, rng *rand.Rand, w *trace.Trace, index int, cfg Config) *Frame {
+	t.Helper()
+	wb, err := NewWindowBuilder(w.Meta, cfg)
+	if err != nil {
+		t.Fatalf("window %d: NewWindowBuilder: %v", index, err)
+	}
+	for _, bi := range rng.Perm(len(w.Bursts)) {
+		wb.Accept(w.Bursts[bi])
+	}
+	f, err := wb.Seal(index)
+	if err != nil {
+		t.Fatalf("window %d: Seal: %v", index, err)
+	}
+	return f
+}
+
 // replayWindows drives the streaming ingest/evaluate split over the
 // given windows, appending each window's bursts in a seeded random
-// permutation, and returns the evaluation export after every window.
-func replayWindows(t *testing.T, seed uint64, windows []*trace.Trace, cfg Config) [][]byte {
+// permutation, and returns the evaluation export and pair digest after
+// every window.
+func replayWindows(t *testing.T, seed uint64, windows []*trace.Trace, cfg Config) ([][]byte, []string) {
 	t.Helper()
 	st, err := NewSeqTracker(cfg)
 	if err != nil {
@@ -67,19 +131,9 @@ func replayWindows(t *testing.T, seed uint64, windows []*trace.Trace, cfg Config
 	}
 	rng := rand.New(rand.NewPCG(seed, 0x57f3a))
 	var exports [][]byte
+	var digests []string
 	for wi, w := range windows {
-		wb, err := NewWindowBuilder(w.Meta, cfg)
-		if err != nil {
-			t.Fatalf("window %d: NewWindowBuilder: %v", wi, err)
-		}
-		for _, bi := range rng.Perm(len(w.Bursts)) {
-			wb.Accept(w.Bursts[bi])
-		}
-		f, err := wb.Seal(wi)
-		if err != nil {
-			t.Fatalf("window %d: Seal: %v", wi, err)
-		}
-		if err := st.Append(f); err != nil {
+		if err := st.Append(sealWindow(t, rng, w, wi, cfg)); err != nil {
 			t.Fatalf("window %d: Append: %v", wi, err)
 		}
 		res, err := st.Evaluate(context.Background())
@@ -87,13 +141,14 @@ func replayWindows(t *testing.T, seed uint64, windows []*trace.Trace, cfg Config
 			t.Fatalf("window %d: Evaluate: %v", wi, err)
 		}
 		exports = append(exports, exportBytes(t, res, cfg))
+		digests = append(digests, pairDigest(res))
 	}
-	return exports
+	return exports, digests
 }
 
 // batchPrefix runs the batch pipeline over the first n canonical
-// windows and returns the export bytes.
-func batchPrefix(t *testing.T, canon []*trace.Trace, n int, cfg Config) []byte {
+// windows and returns the export bytes and pair digest.
+func batchPrefix(t *testing.T, canon []*trace.Trace, n int, cfg Config) ([]byte, string) {
 	t.Helper()
 	frames, err := BuildFrames(canon[:n], cfg)
 	if err != nil {
@@ -103,7 +158,7 @@ func batchPrefix(t *testing.T, canon []*trace.Trace, n int, cfg Config) []byte {
 	if err != nil {
 		t.Fatalf("prefix %d: Track: %v", n, err)
 	}
-	return exportBytes(t, res, cfg)
+	return exportBytes(t, res, cfg), pairDigest(res)
 }
 
 // TestStreamingWindowDifferential is the heart of the streaming gate:
@@ -118,12 +173,15 @@ func TestStreamingWindowDifferential(t *testing.T) {
 		windows := tr.SplitWindows(4 + int(seed%3))
 		cfg := streamingConfig(seed)
 		canon := canonWindows(windows)
-		got := replayWindows(t, seed, windows, cfg)
+		got, gotDigest := replayWindows(t, seed, windows, cfg)
 		for n := 1; n <= len(windows); n++ {
-			want := batchPrefix(t, canon, n, cfg)
+			want, wantDigest := batchPrefix(t, canon, n, cfg)
 			if !bytes.Equal(got[n-1], want) {
 				t.Fatalf("seed %d: streaming export after window %d diverges from batch (%d vs %d bytes)",
 					seed, n, len(got[n-1]), len(want))
+			}
+			if gotDigest[n-1] != wantDigest {
+				t.Fatalf("seed %d: streaming pair evidence after window %d diverges from batch", seed, n)
 			}
 		}
 	}
@@ -141,9 +199,9 @@ func TestStreamingFaultInjectionDifferential(t *testing.T) {
 			windows := faulty.SplitWindows(4)
 			cfg := streamingConfig(seed + uint64(fi))
 			canon := canonWindows(windows)
-			got := replayWindows(t, seed^uint64(fi)<<8, windows, cfg)
+			got, _ := replayWindows(t, seed^uint64(fi)<<8, windows, cfg)
 			for n := 1; n <= len(windows); n++ {
-				want := batchPrefix(t, canon, n, cfg)
+				want, _ := batchPrefix(t, canon, n, cfg)
 				if !bytes.Equal(got[n-1], want) {
 					t.Fatalf("seed %d injector %s: streaming diverges after window %d", seed, inj.Name(), n)
 				}
@@ -168,11 +226,14 @@ func TestStreamingDegradedWindowsDifferential(t *testing.T) {
 	for _, cfgSeed := range []uint64{0, 2} {
 		cfg := streamingConfig(cfgSeed)
 		canon := canonWindows(windows)
-		got := replayWindows(t, 99+cfgSeed, windows, cfg)
+		got, gotDigest := replayWindows(t, 99+cfgSeed, windows, cfg)
 		for n := 1; n <= len(windows); n++ {
-			want := batchPrefix(t, canon, n, cfg)
+			want, wantDigest := batchPrefix(t, canon, n, cfg)
 			if !bytes.Equal(got[n-1], want) {
 				t.Fatalf("cfg %d: degraded-window streaming diverges after window %d", cfgSeed, n)
+			}
+			if gotDigest[n-1] != wantDigest {
+				t.Fatalf("cfg %d: degraded-window pair evidence diverges after window %d", cfgSeed, n)
 			}
 		}
 	}
