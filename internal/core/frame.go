@@ -22,8 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"perftrack/internal/cluster"
 	"perftrack/internal/metrics"
@@ -289,35 +287,17 @@ func BuildFramesContext(ctx context.Context, traces []*trace.Trace, cfg Config) 
 	// each frame's outcome depends only on its own trace.
 	frames := make([]*Frame, len(traces))
 	errs := make([]error, len(traces))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(traces) {
-		workers = len(traces)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				f, err := buildFrame(ctx, i, traces[i], cfg)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: frame %d (%s): %w", i, traces[i].Meta.Label, err)
-					continue
-				}
-				frames[i] = f
-			}
-		}()
-	}
-	for i := range traces {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	runBounded(len(traces), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
+		}
+		f, err := buildFrame(ctx, i, traces[i], cfg)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: frame %d (%s): %w", i, traces[i].Meta.Label, err)
+			return
+		}
+		frames[i] = f
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -374,23 +354,30 @@ func allDegraded(frames []*Frame) error {
 
 func buildFrame(ctx context.Context, index int, t *trace.Trace, cfg Config) (*Frame, error) {
 	ft, quarantined := quarantineBursts(t)
-	qcount := 0
-	for _, n := range quarantined {
-		qcount += n
-	}
 	if cfg.MinBurstDurationNS > 0 {
 		ft = ft.FilterMinDuration(cfg.MinBurstDurationNS)
 	}
+	return newFrame(ctx, index, ft, quarantined, cfg, nil)
+}
+
+// newFrame renders the quarantined, duration-filtered bursts ft as frame
+// index: it applies the top-duration filter, fills the metric space and
+// clusters the bursts, with seal when the caller already holds an
+// incremental index over them, else with a batch cluster.RunFlat.
+// Frames left with no bursts or no objects come back marked degraded.
+func newFrame(ctx context.Context, index int, ft *trace.Trace, quarantined map[string]int, cfg Config, seal func() (*cluster.Result, error)) (*Frame, error) {
 	if cfg.TopDurationFrac > 0 && cfg.TopDurationFrac < 1 {
 		ft = ft.FilterTopDuration(cfg.TopDurationFrac)
 	}
 	f := &Frame{
 		Index:         index,
-		Label:         t.Meta.Label,
-		Ranks:         t.Meta.Ranks,
+		Label:         ft.Meta.Label,
+		Ranks:         ft.Meta.Ranks,
 		Trace:         ft,
-		Quarantined:   qcount,
 		QuarantinedBy: quarantined,
+	}
+	for _, n := range quarantined {
+		f.Quarantined += n
 	}
 	if len(ft.Bursts) == 0 {
 		f.Degraded = true
@@ -417,7 +404,10 @@ func buildFrame(ctx context.Context, index int, t *trace.Trace, cfg Config) (*Fr
 		transformSpaceInto(coords[i*dims:(i+1)*dims], cfg.Metrics, row, 1)
 		weights[i] = float64(b.DurationNS)
 	}
-	res, err := cluster.RunFlat(coords, dims, weights, cfg.Cluster)
+	if seal == nil {
+		seal = func() (*cluster.Result, error) { return cluster.RunFlat(coords, dims, weights, cfg.Cluster) }
+	}
+	res, err := seal()
 	if err != nil {
 		return nil, err
 	}
@@ -431,16 +421,12 @@ func buildFrame(ctx context.Context, index int, t *trace.Trace, cfg Config) (*Fr
 	return f, nil
 }
 
-// transformSpace maps raw metric values into the space distances are
-// measured in: LogScale metrics (instructions, misses) are log10
-// transformed because they span orders of magnitude across experiments,
-// and rank-scaling metrics are multiplied by ranks first.
-func transformSpace(ms []metrics.Metric, p []float64, ranks float64) []float64 {
-	return transformSpaceInto(make([]float64, len(p)), ms, p, ranks)
-}
-
-// transformSpaceInto is transformSpace writing into q (len(q) == len(p)),
-// for callers that lay whole frames out in one flat allocation.
+// transformSpaceInto maps raw metric values p into q (len(q) ==
+// len(p)), the space distances are measured in: LogScale metrics
+// (instructions, misses) are log10 transformed because they span orders
+// of magnitude across experiments, and rank-scaling metrics are
+// multiplied by ranks first. Callers lay whole frames out in one flat
+// allocation.
 func transformSpaceInto(q []float64, ms []metrics.Metric, p []float64, ranks float64) []float64 {
 	if ranks <= 0 {
 		ranks = 1

@@ -10,7 +10,7 @@ import (
 
 func TestTransformSpace(t *testing.T) {
 	ms := []metrics.Metric{metrics.IPC, metrics.Instructions}
-	got := transformSpace(ms, []float64{1.5, 1e6}, 4)
+	got := transformSpaceInto(make([]float64, 2), ms, []float64{1.5, 1e6}, 4)
 	if got[0] != 1.5 {
 		t.Errorf("IPC transformed: %v", got[0])
 	}
@@ -20,12 +20,12 @@ func TestTransformSpace(t *testing.T) {
 		t.Errorf("instructions transform = %v, want %v", got[1], want)
 	}
 	// Zero ranks behaves like 1.
-	got = transformSpace(ms, []float64{1, 100}, 0)
+	got = transformSpaceInto(make([]float64, 2), ms, []float64{1, 100}, 0)
 	if got[1] != 2 {
 		t.Errorf("rank default: %v", got[1])
 	}
 	// Non-positive values are clamped, not NaN.
-	got = transformSpace(ms, []float64{1, 0}, 1)
+	got = transformSpaceInto(make([]float64, 2), ms, []float64{1, 0}, 1)
 	if math.IsNaN(got[1]) || math.IsInf(got[1], 0) {
 		t.Errorf("zero instructions transform = %v", got[1])
 	}

@@ -4,31 +4,30 @@ import (
 	"context"
 	"fmt"
 
-	"perftrack/internal/align"
 	"perftrack/internal/metrics"
 )
 
 // This file is the evaluate half of the streaming split. A SeqTracker
 // holds a growing frame sequence and re-evaluates it after every
-// appended window, producing a Result bit-exact with running
-// BuildFrames + Track over the whole sequence — while only paying for
-// what actually changed:
+// appended window through the same Tracker.evaluate the batch pipeline
+// runs, producing a Result bit-exact with BuildFrames + Track over the
+// whole sequence, while only paying for what actually changed:
 //
 //   - cross-series normalisation ranges are maintained incrementally
 //     (Range.Extend is a commutative min/max, so the running ranges
 //     equal the batch ranges exactly); frames are renormalised only
 //     when a new window actually widens a range ("epoch" bump);
-//   - per-frame machinery (star alignment, consensus, SPMD matrices)
-//     depends only on labels/trace, which are immutable after sealing,
-//     so it is computed once per frame, ever;
+//   - per-frame machinery (consensus, SPMD matrix and pairs) depends
+//     only on labels/trace, which are immutable after sealing, so it is
+//     computed once per frame, ever;
 //   - pair correlations depend on normalised coordinates, so they are
-//     cached per (from,to) pair and invalidated on epoch bumps;
-//   - the degraded-collapse rule (markCollapsed) is monotone as windows
-//     append — maxClusters only grows — so recomputing it from scratch
-//     each close matches the batch marking.
+//     cached per (from,to) pair until the next epoch bump;
+//   - the degraded-collapse rule (markCollapsed) is re-applied over the
+//     sealed frames' intrinsic flags every close, which is exactly the
+//     batch marking.
 //
-// Only the relation chaining and diagnostics are rebuilt every close;
-// both are cheap relative to one window's clustering.
+// The relation chaining and diagnostics are rebuilt every close; both
+// are cheap relative to one window's clustering.
 type SeqTracker struct {
 	cfg Config
 	tk  *Tracker
@@ -47,12 +46,7 @@ type SeqTracker struct {
 	epoch     int
 	normEpoch []int
 
-	haveEval  []bool
-	aligns    []*align.Alignment
-	consensus [][]int
-	spmdM     []*Matrix
-	spmdPairs [][][2]int
-
+	fe        []*frameEval
 	pairCache map[[2]int]*PairResult
 }
 
@@ -115,11 +109,7 @@ func (s *SeqTracker) Append(f *Frame) error {
 	s.intrinsicDegraded = append(s.intrinsicDegraded, f.Degraded)
 	s.intrinsicReason = append(s.intrinsicReason, f.DegradedReason)
 	s.normEpoch = append(s.normEpoch, 0)
-	s.haveEval = append(s.haveEval, false)
-	s.aligns = append(s.aligns, nil)
-	s.consensus = append(s.consensus, nil)
-	s.spmdM = append(s.spmdM, nil)
-	s.spmdPairs = append(s.spmdPairs, nil)
+	s.fe = append(s.fe, nil)
 	return nil
 }
 
@@ -131,34 +121,19 @@ func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 	if len(s.frames) == 0 {
 		return nil, fmt.Errorf("core: no frames to track")
 	}
-	cfg := s.tk.cfg
-
 	// Effective degraded flags: intrinsic reasons are sticky, the
-	// collapse rule is re-derived from the running max (monotone, so
-	// marks only ever appear — exactly like batch markCollapsed).
-	maxC := 0
-	for _, f := range s.frames {
-		if f.NumClusters > maxC {
-			maxC = f.NumClusters
-		}
-	}
+	// collapse rule is re-derived over the whole sequence like batch.
 	for i, f := range s.frames {
-		switch {
-		case s.intrinsicDegraded[i]:
-			f.Degraded, f.DegradedReason = true, s.intrinsicReason[i]
-		case maxC >= 3 && f.NumClusters == 1:
-			f.Degraded, f.DegradedReason = true, "clustering collapsed to a single object"
-		default:
-			f.Degraded, f.DegradedReason = false, ""
-		}
+		f.Degraded, f.DegradedReason = s.intrinsicDegraded[i], s.intrinsicReason[i]
 	}
+	markCollapsed(s.frames)
 	if err := allDegraded(s.frames); err != nil {
 		return nil, err
 	}
 
 	// Renormalise frames whose Norm predates the current ranges, and
 	// refill their cluster summaries (centroids live in Norm space).
-	dims := len(cfg.Metrics)
+	dims := len(s.cfg.Metrics)
 	for i, f := range s.frames {
 		if s.normEpoch[i] == s.epoch {
 			continue
@@ -173,82 +148,9 @@ func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 			}
 			f.Norm[p] = q
 		}
-		f.fillClusterInfo(cfg)
+		f.fillClusterInfo(s.cfg)
 		s.normEpoch[i] = s.epoch
 	}
 
-	// Per-frame machinery for newly-active frames; labels and traces are
-	// immutable after sealing, so each frame is computed at most once.
-	needAlign := !cfg.DisableSPMD || !cfg.DisableSequence
-	var active, todo []int
-	for i, f := range s.frames {
-		if f.Degraded {
-			continue
-		}
-		active = append(active, i)
-		if !s.haveEval[i] {
-			todo = append(todo, i)
-		}
-	}
-	if len(active) == 0 {
-		return nil, fmt.Errorf("core: every frame is degraded")
-	}
-	runBounded(len(todo), func(k int) {
-		i := todo[k]
-		f := s.frames[i]
-		if ctx.Err() != nil {
-			return
-		}
-		if needAlign {
-			s.aligns[i] = frameAlignment(f, cfg)
-			s.consensus[i] = consensusOf(s.aligns[i])
-		}
-		if !cfg.DisableSPMD && ctx.Err() == nil {
-			s.spmdM[i] = SPMDSimultaneity(f, s.aligns[i], cfg)
-			s.spmdPairs[i] = SPMDPairs(s.spmdM[i], cfg)
-		} else {
-			s.spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, i := range todo {
-		s.haveEval[i] = true
-	}
-
-	// Consecutive-active pairs: steady state computes exactly one new
-	// pair (previous frame -> new frame); epoch bumps recompute all.
-	res := &Result{Frames: s.frames, Pairs: make([]*PairResult, max(0, len(active)-1))}
-	res.Diagnostics = gatherFrameDiagnostics(s.frames)
-	type pairKey struct{ k, i, j int }
-	var missing []pairKey
-	for k := 0; k+1 < len(active); k++ {
-		i, j := active[k], active[k+1]
-		if pr, ok := s.pairCache[[2]int{i, j}]; ok {
-			res.Pairs[k] = pr
-		} else {
-			missing = append(missing, pairKey{k, i, j})
-		}
-	}
-	runBounded(len(missing), func(m int) {
-		p := missing[m]
-		res.Pairs[p.k] = s.tk.trackPair(ctx, s.frames[p.i], s.frames[p.j],
-			s.spmdM[p.i], s.spmdM[p.j], s.spmdPairs[p.i], s.spmdPairs[p.j],
-			s.consensus[p.i], s.consensus[p.j])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, p := range missing {
-		s.pairCache[[2]int{p.i, p.j}] = res.Pairs[p.k]
-	}
-	for _, pr := range res.Pairs {
-		if pr.To-pr.From > 1 {
-			res.Diagnostics.FramesBridged += pr.To - pr.From - 1
-			res.Diagnostics.Bridges = append(res.Diagnostics.Bridges, [2]int{pr.From, pr.To})
-		}
-	}
-	s.tk.chain(res)
-	return res, nil
+	return s.tk.evaluate(ctx, s.frames, s.fe, s.pairCache)
 }

@@ -114,75 +114,72 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("core: no frames to track")
 	}
-	cfg := tk.cfg
+	return tk.evaluate(ctx, frames, make([]*frameEval, len(frames)), map[[2]int]*PairResult{})
+}
 
-	// The tracked sequence is the healthy frames; degraded ones stay in
-	// Result.Frames (so indices and labels are preserved) but take no
-	// part in correlation.
-	var active []int
+// frameEval is the per-frame machinery the evaluators share: the
+// consensus of the frame's star alignment of per-task sequences, and its
+// SPMD simultaneity matrix and pairs. It depends only on the frame's
+// labels and trace, which are fixed once the frame is built.
+type frameEval struct {
+	consensus []int
+	spmd      *Matrix
+	spmdPairs [][2]int
+}
+
+// evaluate tracks frames, reusing the per-frame machinery in fe and the
+// pair results in pairs and filling in whatever is missing. The tracked
+// sequence is the healthy frames; degraded ones stay in Result.Frames
+// (so indices and labels are preserved) but take no part in
+// correlation. An entry is stored only once it is complete, so a cancel
+// leaves both caches usable.
+func (tk *Tracker) evaluate(ctx context.Context, frames []*Frame, fe []*frameEval, pairs map[[2]int]*PairResult) (*Result, error) {
+	var active, todo []int
 	for i, f := range frames {
-		if !f.Degraded {
-			active = append(active, i)
+		if f.Degraded {
+			continue
+		}
+		active = append(active, i)
+		if fe[i] == nil {
+			todo = append(todo, i)
 		}
 	}
 	if len(active) == 0 {
 		return nil, fmt.Errorf("core: every frame is degraded")
 	}
-
-	// Per-frame machinery shared by evaluators: star alignment of the
-	// per-task sequences, its SPMD matrix, pairs and consensus sequence.
-	aligns := make([]*align.Alignment, len(frames))
-	spmdM := make([]*Matrix, len(frames))
-	spmdPairs := make([][][2]int, len(frames))
-	consensus := make([][]int, len(frames))
-	needAlign := !cfg.DisableSPMD || !cfg.DisableSequence
-	// Per-frame alignments are independent of each other; compute them
-	// across a GOMAXPROCS-bounded worker pool (each slot is written by
-	// exactly one worker, so the outcome is schedule-independent).
-	for i, f := range frames {
-		if f.Degraded {
-			spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
-		}
+	// Frames and consecutive active pairs are each independent of one
+	// another (the chain step joins the pair relations afterwards); each
+	// worker writes only its own slot, so the outcome is
+	// schedule-independent.
+	runBounded(len(todo), func(k int) {
+		i := todo[k]
+		fe[i] = tk.evalFrame(ctx, i, frames[i])
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	runBounded(len(frames), func(i int) {
-		f := frames[i]
-		if f.Degraded {
-			return
-		}
-		if ctx.Err() != nil {
-			// Leave empty per-frame machinery; the cancel check
-			// after the pool drains discards everything anyway.
-			spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
-			return
-		}
-		if needAlign {
-			aligns[i] = frameAlignment(f, cfg)
-			consensus[i] = consensusOf(aligns[i])
-		}
-		if !cfg.DisableSPMD && ctx.Err() == nil {
-			spmdM[i] = SPMDSimultaneity(f, aligns[i], cfg)
-			spmdPairs[i] = SPMDPairs(spmdM[i], cfg)
+
+	res := &Result{Frames: frames, Pairs: make([]*PairResult, len(active)-1)}
+	var missing []int
+	for k := range res.Pairs {
+		if pr, ok := pairs[[2]int{active[k], active[k+1]}]; ok {
+			res.Pairs[k] = pr
 		} else {
-			spmdM[i] = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
+			missing = append(missing, k)
 		}
+	}
+	runBounded(len(missing), func(m int) {
+		i, j := active[missing[m]], active[missing[m]+1]
+		res.Pairs[missing[m]] = tk.trackPair(ctx, frames[i], frames[j], fe[i], fe[j])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for _, k := range missing {
+		pairs[[2]int{active[k], active[k+1]}] = res.Pairs[k]
 	}
 
-	// Consecutive active pairs are likewise independent (the chain step
-	// joins their relations afterwards).
-	res := &Result{Frames: frames, Pairs: make([]*PairResult, max(0, len(active)-1))}
 	res.Diagnostics = gatherFrameDiagnostics(frames)
-	runBounded(max(0, len(active)-1), func(k int) {
-		i, j := active[k], active[k+1]
-		res.Pairs[k] = tk.trackPair(ctx, frames[i], frames[j],
-			spmdM[i], spmdM[j], spmdPairs[i], spmdPairs[j],
-			consensus[i], consensus[j])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	for _, pr := range res.Pairs {
 		if pr.To-pr.From > 1 {
 			res.Diagnostics.FramesBridged += pr.To - pr.From - 1
@@ -191,6 +188,31 @@ func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, 
 	}
 	tk.chain(res)
 	return res, nil
+}
+
+// evalFrame computes the per-frame machinery of frame i, or returns nil
+// when ctx is cancelled before it is complete.
+func (tk *Tracker) evalFrame(ctx context.Context, i int, f *Frame) *frameEval {
+	cfg := tk.cfg
+	if ctx.Err() != nil {
+		return nil
+	}
+	e := &frameEval{}
+	var al *align.Alignment
+	if !cfg.DisableSPMD || !cfg.DisableSequence {
+		al = frameAlignment(f, cfg)
+		e.consensus = consensusOf(al)
+	}
+	if cfg.DisableSPMD {
+		e.spmd = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)
+		return e
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	e.spmd = SPMDSimultaneity(f, al, cfg)
+	e.spmdPairs = SPMDPairs(e.spmd, cfg)
+	return e
 }
 
 // runBounded invokes fn(0..n-1), fanning out across at most GOMAXPROCS
@@ -231,7 +253,7 @@ func runBounded(n int, fn func(int)) {
 // execution-sequence evaluator that tries to split wide relations.
 // Cancellation is polled between evaluator stages; a cancelled pair
 // returns nil (the caller discards the whole result on ctx.Err()).
-func (tk *Tracker) trackPair(ctx context.Context, a, b *Frame, spmdA, spmdB *Matrix, pairsA, pairsB [][2]int, seqA, seqB []int) *PairResult {
+func (tk *Tracker) trackPair(ctx context.Context, a, b *Frame, ea, eb *frameEval) *PairResult {
 	cfg := tk.cfg
 	pr := &PairResult{From: a.Index, To: b.Index}
 	if ctx.Err() != nil {
@@ -252,7 +274,7 @@ func (tk *Tracker) trackPair(ctx context.Context, a, b *Frame, spmdA, spmdB *Mat
 	}
 	pr.StackAB = Callstack(a, b, cfg)
 	pr.StackBA = Callstack(b, a, cfg)
-	pr.SPMDA, pr.SPMDB = spmdA, spmdB
+	pr.SPMDA, pr.SPMDB = ea.spmd, eb.spmd
 
 	vetoCross := func(i, j int) bool {
 		return !cfg.DisableCallstack && stacksDisjoint(a, b, i, j)
@@ -292,12 +314,12 @@ func (tk *Tracker) trackPair(ctx context.Context, a, b *Frame, spmdA, spmdB *Mat
 	// 2) SPMD widening: same-frame simultaneous clusters are the same
 	// code, provided the call stacks do not contradict it.
 	if !cfg.DisableSPMD {
-		for _, p := range pairsA {
+		for _, p := range ea.spmdPairs {
 			if cfg.DisableCallstack || sharedStack(a, p[0], p[1]) || !hasStacks(a) {
 				uf.union(node(false, p[0]), node(false, p[1]))
 			}
 		}
-		for _, p := range pairsB {
+		for _, p := range eb.spmdPairs {
 			if cfg.DisableCallstack || sharedStack(b, p[0], p[1]) || !hasStacks(b) {
 				uf.union(node(true, p[0]), node(true, p[1]))
 			}
@@ -348,7 +370,7 @@ func (tk *Tracker) trackPair(ctx context.Context, a, b *Frame, spmdA, spmdB *Mat
 				pivotsB[r.B[0]] = relID
 			}
 		}
-		pr.Seq = SequenceCorrelate(a, b, seqA, seqB, pivotsA, pivotsB, cfg)
+		pr.Seq = SequenceCorrelate(a, b, ea.consensus, eb.consensus, pivotsA, pivotsB, cfg)
 		relations = tk.splitWide(a, b, relations, pr.Seq)
 		relations = tk.bindLone(a, b, relations, pr.Seq)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -57,7 +58,6 @@ type WindowBuilder struct {
 	bursts []trace.Burst
 
 	quarantined map[string]int
-	qcount      int
 
 	// inc is the resident incremental index, nil when the configuration
 	// is not eligible (then Seal runs the batch clustering).
@@ -104,7 +104,6 @@ func (wb *WindowBuilder) Accept(b trace.Burst) (AcceptStatus, string) {
 			wb.quarantined = map[string]int{}
 		}
 		wb.quarantined[fault]++
-		wb.qcount++
 		return BurstQuarantined, fault
 	}
 	if wb.cfg.MinBurstDurationNS > 0 && b.DurationNS < wb.cfg.MinBurstDurationNS {
@@ -152,52 +151,11 @@ func (wb *WindowBuilder) Seal(index int) (*Frame, error) {
 	for _, oi := range order {
 		ft.Bursts = append(ft.Bursts, wb.bursts[oi])
 	}
-	if wb.inc == nil && wb.cfg.TopDurationFrac > 0 && wb.cfg.TopDurationFrac < 1 {
-		ft = ft.FilterTopDuration(wb.cfg.TopDurationFrac)
-	}
-	f := &Frame{
-		Index:         index,
-		Label:         wb.meta.Label,
-		Ranks:         wb.meta.Ranks,
-		Trace:         ft,
-		Quarantined:   wb.qcount,
-		QuarantinedBy: wb.quarantined,
-	}
-	if len(ft.Bursts) == 0 {
-		f.Degraded = true
-		f.DegradedReason = "no bursts after quarantine and filtering"
-		return f, nil
-	}
-	nb := len(ft.Bursts)
-	dims := len(wb.cfg.Metrics)
-	flat := make([]float64, nb*dims)
-	coords := make([]float64, nb*dims)
-	points := make([][]float64, nb)
-	weights := make([]float64, nb)
-	for i, b := range ft.Bursts {
-		row := flat[i*dims : (i+1)*dims : (i+1)*dims]
-		points[i] = metrics.SpaceInto(row, wb.cfg.Metrics, b.Sample())
-		transformSpaceInto(coords[i*dims:(i+1)*dims], wb.cfg.Metrics, row, 1)
-		weights[i] = float64(b.DurationNS)
-	}
-	var res *cluster.Result
-	var err error
+	var seal func() (*cluster.Result, error)
 	if wb.inc != nil {
 		// The index holds points in arrival order; order maps canonical
 		// position -> arrival position, which is exactly Seal's contract.
-		res, err = wb.inc.Seal(order)
-	} else {
-		res, err = cluster.RunFlat(coords, dims, weights, wb.cfg.Cluster)
+		seal = func() (*cluster.Result, error) { return wb.inc.Seal(order) }
 	}
-	if err != nil {
-		return nil, err
-	}
-	f.Points = points
-	f.Labels = res.Labels
-	f.NumClusters = res.NumClusters
-	if res.NumClusters == 0 {
-		f.Degraded = true
-		f.DegradedReason = "clustering found no objects"
-	}
-	return f, nil
+	return newFrame(context.Background(), index, ft, wb.quarantined, wb.cfg, seal)
 }
