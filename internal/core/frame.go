@@ -421,12 +421,12 @@ func newFrame(ctx context.Context, index int, ft *trace.Trace, quarantined map[s
 	return f, nil
 }
 
-// transformSpaceInto maps raw metric values p into q (len(q) ==
-// len(p)), the space distances are measured in: LogScale metrics
+// transformSpaceInto maps raw metric values p into the space distances
+// are measured in, writing into q (len(q) == len(p)) so callers can lay
+// whole frames out in one flat allocation: LogScale metrics
 // (instructions, misses) are log10 transformed because they span orders
 // of magnitude across experiments, and rank-scaling metrics are
-// multiplied by ranks first. Callers lay whole frames out in one flat
-// allocation.
+// multiplied by ranks first.
 func transformSpaceInto(q []float64, ms []metrics.Metric, p []float64, ranks float64) []float64 {
 	if ranks <= 0 {
 		ranks = 1
