@@ -2,7 +2,9 @@ package trace
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"perftrack/internal/metrics"
@@ -107,5 +109,56 @@ func TestHashSequenceEmptyPinned(t *testing.T) {
 	one := HashSequence([]*Trace{edgeTrace(1)})
 	if one == hn {
 		t.Error("one-trace sequence collides with the empty sequence")
+	}
+}
+
+// flushTrace is a fixture whose canonical encoding is several times the
+// hash's write buffer: non-empty params, 3,000 bursts of varied fields
+// and one function name longer than a whole buffer, so a fingerprint
+// computed through a buffer must flush it mid-field and at the end.
+func flushTrace() *Trace {
+	t := &Trace{Meta: Metadata{
+		App: "flush", Label: "f1", Ranks: 24, TasksPerNode: 6,
+		Machine: "mn4", Compiler: "icc",
+		Params: map[string]string{"class": "C", "seed": "17", "": "empty-key"},
+	}}
+	long := strings.Repeat("operator()<std::vector<double>>::", 1500) // 49,500 bytes
+	for i := 0; i < 3000; i++ {
+		fn := fmt.Sprintf("region_%d", i%37)
+		if i == 1234 {
+			fn = long
+		}
+		file := ""
+		if i%5 != 0 {
+			file = fmt.Sprintf("src/mod%d.f90", i%11)
+		}
+		t.Bursts = append(t.Bursts, Burst{
+			Task: i % 24, Thread: i % 2, StartNS: int64(i) * 1_000, DurationNS: int64(500 + i%97),
+			Stack: CallstackRef{Function: fn, File: file, Line: i % 400},
+			Phase: i % 4,
+			Counters: metrics.CounterVector{float64(i) * 1.5, math.Float64frombits(0x7ff8000000000000 | uint64(i)),
+				float64(i % 13), -float64(i % 7), math.Copysign(0, -1), 1 / float64(i+1)},
+		})
+	}
+	return t
+}
+
+// TestCanonicalHashGoldenMultiFlush pins the hash of an encoding that
+// spans many buffer flushes, one field longer than the buffer included.
+// The one-burst goldens above fit in a single write and cannot see a
+// flush that drops, repeats or reorders bytes.
+func TestCanonicalHashGoldenMultiFlush(t *testing.T) {
+	const (
+		want    = "edce43b02dce2175e7023fc2e95e58e800566b14fd17520e56c8c0df88904f40"
+		wantSeq = "a9f8f36b8dfe8e4f102ad329b6802485766a37be7ee529dbbf777ed3d10c4d7b"
+	)
+	tr := flushTrace()
+	h := tr.CanonicalHash()
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Errorf("multi-flush hash %s, want pinned %s", got, want)
+	}
+	s := HashSequence([]*Trace{tr, edgeTrace(1), tr})
+	if got := hex.EncodeToString(s[:]); got != wantSeq {
+		t.Errorf("multi-flush sequence hash %s, want pinned %s", got, wantSeq)
 	}
 }
