@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -866,6 +867,89 @@ func reqOwnedBy(t *testing.T, owner string, ring *mesh.Ring) (JobRequest, string
 	}
 	t.Fatal("no candidate request owned by " + owner)
 	return JobRequest{}, ""
+}
+
+// jobPostRecorder passes mesh calls through and keeps the body of every
+// job submission a node forwards to a peer.
+type jobPostRecorder struct {
+	next   http.RoundTripper
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (r *jobPostRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost && req.URL.Path == "/v1/jobs" && req.Body != nil {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		r.mu.Lock()
+		r.bodies = append(r.bodies, body)
+		r.mu.Unlock()
+	}
+	return r.next.RoundTrip(req)
+}
+
+// TestForwardSendsIntentBytes: a submission whose key another node owns
+// is forwarded with the request exactly as json.Marshal encodes it, with
+// and without a local journal, and the owner's result comes back.
+func TestForwardSendsIntentBytes(t *testing.T) {
+	ring := mesh.NewRing([]string{"na", "nb"}, 64)
+	req, _ := reqOwnedBy(t, "nb", ring)
+	want, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []mesh.Peer{
+		{ID: "na", URL: "http://na.mesh"},
+		{ID: "nb", URL: "http://nb.mesh"},
+	}
+	for _, journaled := range []bool{false, true} {
+		net := newClusterNet()
+		rec := &jobPostRecorder{next: net}
+		dir := t.TempDir()
+		srvs := map[string]*Server{}
+		for _, id := range []string{"na", "nb"} {
+			srv, err := New(Config{
+				Workers:         1,
+				StoreDir:        filepath.Join(dir, id),
+				JournalDisabled: !journaled,
+				Mesh: mesh.Config{
+					NodeID:        id,
+					Peers:         peers,
+					VNodes:        64,
+					ProbeFailures: 1,
+					Transport:     rec,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srvs[id] = srv
+			net.setHandler(id, srv.Handler())
+			defer srv.Shutdown(context.Background())
+		}
+		j, _, err := srvs["na"].Submit(req)
+		if err != nil {
+			t.Fatalf("journaled=%v: submit: %v", journaled, err)
+		}
+		if err := srvs["na"].Wait(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+		if _, state, msg := srvs["na"].Result(j); state != StateDone {
+			t.Fatalf("journaled=%v: state %s: %s", journaled, state, msg)
+		}
+		if got := srvs["na"].mm.forwards.Value(); got != 1 {
+			t.Fatalf("journaled=%v: %d forwards, want 1", journaled, got)
+		}
+		rec.mu.Lock()
+		bodies := rec.bodies
+		rec.mu.Unlock()
+		if len(bodies) != 1 || !bytes.Equal(bodies[0], want) {
+			t.Fatalf("journaled=%v: forwarded %d job bodies, want one equal to json.Marshal of the request", journaled, len(bodies))
+		}
+	}
 }
 
 // TestClusterSeriesScatter pins the cluster-wide series surface on a

@@ -10,6 +10,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"perftrack/internal/oracle"
+	"perftrack/internal/trace"
 )
 
 func httpPostJSON(t *testing.T, s *Server, path string, v any) (string, int) {
@@ -306,16 +309,24 @@ func TestExecBreakerTripsOnPipelineFailures(t *testing.T) {
 }
 
 // TestReplayAfterShutdownWithQueuedJobs: jobs acknowledged but not
-// finished when the daemon stops stay pending in the journal; the next
+// finished when the daemon stops stay pending in the journal, each intent
+// holding the request exactly as json.Marshal encodes it; the next
 // startup replays them to completion and /readyz flips only when the
-// backlog is done.
+// backlog is done. Resubmissions are then hits and write no journal
+// record.
 func TestReplayAfterShutdownWithQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, QueueDepth: 8, StoreDir: dir, StoreSyncEvery: 1}
 	s := newTestServer(t, cfg)
 	s.testGate = make(chan struct{}) // never closed: jobs block until shutdown
 
-	reqs := simUploads(t)
+	reqs := append(simUploads(t), JobRequest{
+		TracesBin: [][]byte{
+			trace.EncodeColbin(oracle.GenTraces(300, "binA", 2, 2, 2)),
+			trace.EncodeColbin(oracle.GenTraces(301, "binB", 2, 2, 2)),
+		},
+		Config: &ConfigSpec{Eps: 0.07, MinPts: 3},
+	})
 	keys := make([]string, len(reqs))
 	for i, req := range reqs {
 		j, _, err := s.Submit(req)
@@ -326,6 +337,20 @@ func TestReplayAfterShutdownWithQueuedJobs(t *testing.T) {
 	}
 	if got := s.journal.Stats().Pending; got != len(reqs) {
 		t.Fatalf("journal pending %d, want %d", got, len(reqs))
+	}
+	intents := map[string][]byte{}
+	for _, p := range s.journal.Pending() {
+		intents[p.Key] = p.Payload
+	}
+	for i, req := range reqs {
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(intents[keys[i]], want) {
+			t.Fatalf("submit %d: journaled intent (%d bytes) differs from json.Marshal of the request (%d bytes)",
+				i, len(intents[keys[i]]), len(want))
+		}
 	}
 	s.Shutdown(context.Background())
 
@@ -343,7 +368,9 @@ func TestReplayAfterShutdownWithQueuedJobs(t *testing.T) {
 	if got := s2.journal.Stats().Pending; got != 0 {
 		t.Fatalf("journal pending %d after replay", got)
 	}
-	// Resubmissions resolve instantly as hits, no recomputation.
+	// Resubmissions resolve instantly as result-cache hits, no
+	// recomputation.
+	appends := s2.journal.Stats().Appends
 	for i, req := range reqs {
 		j, _, err := s2.Submit(req)
 		if err != nil {
@@ -354,6 +381,12 @@ func TestReplayAfterShutdownWithQueuedJobs(t *testing.T) {
 		default:
 			t.Fatalf("replayed key %.8s did not resolve instantly", j.Key)
 		}
+	}
+	if got := s2.m.cacheHits.Value(); got != uint64(len(reqs)) {
+		t.Fatalf("%d result-cache hits, want %d", got, len(reqs))
+	}
+	if got := s2.journal.Stats().Appends; got != appends {
+		t.Fatalf("hits appended %d journal records, want 0", got-appends)
 	}
 }
 

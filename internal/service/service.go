@@ -483,10 +483,6 @@ func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	var intent []byte
-	if intent, err = json.Marshal(req); err != nil {
-		return nil, false, err
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -526,8 +522,16 @@ func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err
 		return nil, false, ErrDegraded
 	}
 
+	// The intent (the request as JSON, which base64-encodes a binary
+	// upload) is marshalled only on the paths that write it: a hit never
+	// pays for it.
 	if s.journal == nil {
 		if owner, fwd := s.forwardTarget(spec.key, via); fwd {
+			intent, err := json.Marshal(req)
+			if err != nil {
+				s.mu.Unlock()
+				return nil, false, err
+			}
 			j := s.forwardLocked(spec, false, owner, intent)
 			s.mu.Unlock()
 			return j, false, nil
@@ -538,6 +542,10 @@ func (s *Server) submit(req JobRequest, via bool) (job *Job, coalesced bool, err
 	}
 	s.mu.Unlock()
 
+	intent, err := json.Marshal(req)
+	if err != nil {
+		return nil, false, err
+	}
 	// Journal the intent before acknowledging — the fsync inside is what
 	// turns the 202 into a durability promise — but OUTSIDE the server
 	// mutex: a slow or hung disk stalls this one submission, not every
@@ -1398,7 +1406,3 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, ready)
 }
-
-// Hash re-exports the canonical trace hash for clients that want to
-// predict cache keys.
-func Hash(ts []*trace.Trace) [32]byte { return trace.HashSequence(ts) }
