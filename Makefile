@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec clean
+.PHONY: all build test vet race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval bench-vet check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec clean
 
 all: build
 
@@ -107,13 +107,20 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# check is the pre-merge gate: static analysis, the full suite under the
-# race detector, the oracle harness, the chaos/fault-injection schedules,
-# the whole-cluster mesh simulation, the live-stream crash/churn
-# simulation, the tracking-quality gate, a short fuzz pass, and the
-# daemon end-to-end smokes (including the kill -9 crash-recovery smoke
-# and the 3-node SIGKILL cluster smoke).
-check: vet race oracle chaos mesh-sim stream-sim trackeval fuzz-short serve-smoke store-smoke cluster-smoke
+# bench-vet vets and unit-tests the trackbench module. It is a module of
+# its own, so `go test ./...` at the root never compiles it: a deleted or
+# renamed name it imports would otherwise surface only as a broken
+# benchmark run.
+bench-vet:
+	cd trackbench && $(GO) vet ./... && $(GO) test ./...
+
+# check is the pre-merge gate: static analysis (of the trackbench module
+# too), the full suite under the race detector, the oracle harness, the
+# chaos/fault-injection schedules, the whole-cluster mesh simulation, the
+# live-stream crash/churn simulation, the tracking-quality gate, a short
+# fuzz pass, and the daemon end-to-end smokes (including the kill -9
+# crash-recovery smoke and the 3-node SIGKILL cluster smoke).
+check: vet bench-vet race oracle chaos mesh-sim stream-sim trackeval fuzz-short serve-smoke store-smoke cluster-smoke
 
 # bench-core runs the analysis-core microbenchmark suite (clustering, NN,
 # alignment, end-to-end tracking on the largest catalog studies). The

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"os"
 
+	"perftrack"
 	"perftrack/internal/apps"
-	"perftrack/internal/core"
 	"perftrack/internal/plot"
 	"perftrack/internal/profile"
 	"perftrack/internal/report"
@@ -62,11 +62,7 @@ func cmdAnimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	frames, err := core.BuildFrames(traces, cfg)
-	if err != nil {
-		return err
-	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := perftrack.Track(traces, cfg)
 	if err != nil {
 		return err
 	}
@@ -120,11 +116,7 @@ func cmdReport(args []string) error {
 		}
 		traces = traces[0].SplitWindows(*windows)
 	}
-	frames, err := core.BuildFrames(traces, cfg)
-	if err != nil {
-		return err
-	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := perftrack.Track(traces, cfg)
 	if err != nil {
 		return err
 	}
@@ -153,11 +145,7 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	frames, err := core.BuildFrames(traces, cfg)
-	if err != nil {
-		return err
-	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := perftrack.Track(traces, cfg)
 	if err != nil {
 		return err
 	}

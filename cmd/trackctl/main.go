@@ -35,12 +35,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"perftrack"
 	"perftrack/internal/apps"
 	"perftrack/internal/cluster"
 	"perftrack/internal/core"
@@ -256,7 +258,7 @@ func cmdCluster(args []string) error {
 	if len(traces) != 1 {
 		return fmt.Errorf("cluster analyses exactly one trace, got %d", len(traces))
 	}
-	frames, err := core.BuildFrames(traces, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		return err
 	}
@@ -300,11 +302,7 @@ func cmdTrack(args []string) error {
 	if len(traces) < 2 {
 		return fmt.Errorf("track needs at least two traces (or one trace with -windows), got %d", len(traces))
 	}
-	frames, err := core.BuildFrames(traces, cfg)
-	if err != nil {
-		return err
-	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := perftrack.Track(traces, cfg)
 	if err != nil {
 		return err
 	}

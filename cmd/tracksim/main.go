@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,6 @@ import (
 	"strings"
 
 	"perftrack/internal/apps"
-	"perftrack/internal/mpisim"
 	"perftrack/internal/trace"
 )
 
@@ -68,12 +68,9 @@ func generate(st apps.Study, outDir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	traces, err := mpisim.SimulateSeries(st.Runs)
+	traces, err := st.Simulate(context.Background())
 	if err != nil {
 		return err
-	}
-	if st.Windows > 1 {
-		traces = traces[0].SplitWindows(st.Windows)
 	}
 	for i, t := range traces {
 		name := fmt.Sprintf("%02d_%s.prv.txt", i, sanitize(t.Meta.Label))

@@ -6,7 +6,6 @@
 package align
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -45,15 +44,6 @@ func (al *Alignment) Columns() int {
 		return 0
 	}
 	return len(al.Rows[0])
-}
-
-// Column returns the symbols of column c across all rows (Gap included).
-func (al *Alignment) Column(c int) []int {
-	out := make([]int, len(al.Rows))
-	for k, row := range al.Rows {
-		out[k] = row[c]
-	}
-	return out
 }
 
 // Star builds a multiple alignment by aligning every sequence against a
@@ -329,29 +319,6 @@ func (al *Alignment) SPMDScore() float64 {
 		total += float64(best) / float64(nonGap)
 	}
 	return total / float64(cols)
-}
-
-// Identity returns the fraction of aligned (non-gap/non-gap) columns of a
-// pairwise alignment where the symbols agree. It errors when the aligned
-// sequences have different lengths.
-func Identity(alignedA, alignedB []int) (float64, error) {
-	if len(alignedA) != len(alignedB) {
-		return 0, fmt.Errorf("align: aligned length mismatch %d vs %d", len(alignedA), len(alignedB))
-	}
-	matches, aligned := 0, 0
-	for i := range alignedA {
-		if alignedA[i] == Gap || alignedB[i] == Gap {
-			continue
-		}
-		aligned++
-		if alignedA[i] == alignedB[i] {
-			matches++
-		}
-	}
-	if aligned == 0 {
-		return 0, nil
-	}
-	return float64(matches) / float64(aligned), nil
 }
 
 func maxInt(a, b int) int {

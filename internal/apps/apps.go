@@ -9,6 +9,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -40,9 +41,9 @@ type Study struct {
 	Description string
 	// Runs are the experiments, in frame order.
 	Runs []mpisim.Run
-	// Windows, when > 0, means the study analyses the evolution within a
-	// single experiment: only Runs[0] is simulated and its trace is split
-	// into this many time windows, each becoming a frame.
+	// Windows, when > 1, means the study analyses the evolution within a
+	// single experiment: Runs must hold exactly one run, whose trace is
+	// split into this many time windows, each becoming a frame.
 	Windows int
 	// Track is the tracking configuration tuned for this study.
 	Track core.Config
@@ -59,6 +60,24 @@ type Study struct {
 	// invocation counts used to scale per-burst durations up to the
 	// region durations the paper reports (see EXPERIMENTS.md).
 	PhaseNominal map[int]int
+}
+
+// Simulate produces the study's trace sequence: one trace per run or,
+// when Windows > 1, one trace per time window of its single run (the
+// paper's "evolution along time intervals within the same experiment"
+// mode). ctx is checked between runs.
+func (st Study) Simulate(ctx context.Context) ([]*trace.Trace, error) {
+	traces, err := mpisim.SimulateSeriesContext(ctx, st.Runs)
+	if err != nil {
+		return nil, err
+	}
+	if st.Windows > 1 {
+		if len(traces) != 1 {
+			return nil, fmt.Errorf("apps: study %s: windowed analysis needs exactly one run, got %d", st.Name, len(traces))
+		}
+		return traces[0].SplitWindows(st.Windows), nil
+	}
+	return traces, nil
 }
 
 // All returns the ten studies in the order of the paper's Table 2.

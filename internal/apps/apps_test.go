@@ -1,7 +1,10 @@
 package apps
 
 import (
+	"context"
 	"math/rand/v2"
+	"reflect"
+	"strings"
 	"testing"
 
 	"perftrack/internal/machine"
@@ -177,5 +180,43 @@ func TestCompilerFactorsMatchPaper(t *testing.T) {
 	ifort := machine.IFort()
 	if ifort.InstrFactor != 0.70 {
 		t.Errorf("ifort instr factor = %v", ifort.InstrFactor)
+	}
+}
+
+// TestStudySimulateWindows: a windowed study splits the trace of its one
+// run into Windows traces, and a windowed study with several runs is
+// rejected instead of silently analysing the first.
+func TestStudySimulateWindows(t *testing.T) {
+	ctx := context.Background()
+	st := Synthetic(SyntheticParams{})
+	if len(st.Runs) < 2 {
+		t.Fatalf("synthetic study has %d runs, want several", len(st.Runs))
+	}
+	multi := st
+	multi.Windows = 4
+	if _, err := multi.Simulate(ctx); err == nil || !strings.Contains(err.Error(), "exactly one run") {
+		t.Fatalf("windowed multi-run study: err = %v, want a one-run error", err)
+	}
+
+	single := st
+	single.Runs = st.Runs[:1]
+	single.Windows = 4
+	got, err := single.Simulate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := mpisim.SimulateSeriesContext(ctx, single.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole[0].SplitWindows(4)
+	if len(got) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("windowed study gave %d traces, want the 4 of SplitWindows(4)", len(got))
+	}
+
+	// Without windows every run becomes one trace.
+	all, err := st.Simulate(ctx)
+	if err != nil || len(all) != len(st.Runs) {
+		t.Fatalf("unwindowed study = %d traces (%v), want %d", len(all), err, len(st.Runs))
 	}
 }

@@ -34,7 +34,7 @@ type Config struct {
 	// AlgoKMeans.
 	Algorithm string
 	// Eps is the DBSCAN neighbourhood radius in normalised space. 0 asks
-	// for the k-dist heuristic (EstimateEps).
+	// for the k-dist heuristic.
 	Eps float64
 	// MinPts is the DBSCAN density threshold. 0 selects a default scaled
 	// to the data size (0.5% of points, at least 4).
@@ -75,17 +75,6 @@ type Result struct {
 	// Eps and MinPts record the effective parameters used.
 	Eps    float64
 	MinPts int
-}
-
-// ClusterSizes returns the point count per cluster id (index 0 = noise).
-func (r *Result) ClusterSizes() []int {
-	sizes := make([]int, r.NumClusters+1)
-	for _, l := range r.Labels {
-		if l >= 0 && l < len(sizes) {
-			sizes[l]++
-		}
-	}
-	return sizes
 }
 
 // Normalize min–max-normalises every dimension into [0,1] and returns the
@@ -144,14 +133,6 @@ func sqDist(a, b []float64) float64 {
 // order, so identical input yields identical labels.
 func DBSCAN(points [][]float64, eps float64, minPts int) []int {
 	x, dims := flatten(points)
-	labels, _ := dbscanFlat(x, dims, eps, minPts, nil)
-	return labels
-}
-
-// DBSCANFlat is DBSCAN over strided flat storage: point i occupies
-// x[i*dims:(i+1)*dims]. It is the allocation-lean path the pipeline uses
-// so bursts are not re-boxed at package boundaries.
-func DBSCANFlat(x []float64, dims int, eps float64, minPts int) []int {
 	labels, _ := dbscanFlat(x, dims, eps, minPts, nil)
 	return labels
 }
@@ -277,17 +258,10 @@ func dbscanFlat(x []float64, dims int, eps float64, minPts int, interrupt func()
 	return labels, nil
 }
 
-// EstimateEps implements the k-dist heuristic: it computes the distance to
-// the k-th nearest neighbour for a sample of points and returns a high
-// percentile of that distribution, which approximates the knee of the
-// sorted k-dist curve.
-func EstimateEps(points [][]float64, k int) float64 {
-	x, dims := flatten(points)
-	return estimateEpsFlat(x, dims, k)
-}
-
-// estimateEpsFlat is EstimateEps over strided flat storage, with the same
-// sampling, accumulation order and percentile arithmetic (bit-exact).
+// estimateEpsFlat implements the k-dist heuristic over strided flat
+// storage: it computes the distance to the k-th nearest neighbour for a
+// sample of points and returns a high percentile of that distribution,
+// which approximates the knee of the sorted k-dist curve.
 func estimateEpsFlat(x []float64, dims, k int) float64 {
 	n := 0
 	if dims > 0 {
@@ -489,35 +463,4 @@ func relabelByWeight(res *Result, weights []float64, cfg Config) {
 		res.Labels[i] = remap[l]
 	}
 	res.NumClusters = kept
-}
-
-// Centroids returns the unweighted centroid of every cluster (index 0 is
-// unused) over the given coordinate set.
-func Centroids(points [][]float64, labels []int, numClusters int) [][]float64 {
-	if numClusters <= 0 || len(points) == 0 {
-		return nil
-	}
-	dims := len(points[0])
-	cents := make([][]float64, numClusters+1)
-	counts := make([]int, numClusters+1)
-	for c := 1; c <= numClusters; c++ {
-		cents[c] = make([]float64, dims)
-	}
-	for i, l := range labels {
-		if l <= 0 || l > numClusters {
-			continue
-		}
-		for d, v := range points[i] {
-			cents[l][d] += v
-		}
-		counts[l]++
-	}
-	for c := 1; c <= numClusters; c++ {
-		if counts[c] > 0 {
-			for d := range cents[c] {
-				cents[c][d] /= float64(counts[c])
-			}
-		}
-	}
-	return cents
 }

@@ -208,7 +208,8 @@ func TestNNFarQuery(t *testing.T) {
 func TestEstimateEps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 1))
 	pts := blob(rng, 400, 0.5, 0.5, 0.02)
-	eps := EstimateEps(pts, 4)
+	x, dims := flatten(pts)
+	eps := estimateEpsFlat(x, dims, 4)
 	if eps <= 0 {
 		t.Fatalf("eps = %v", eps)
 	}
@@ -217,7 +218,7 @@ func TestEstimateEps(t *testing.T) {
 	if eps > 0.1 {
 		t.Errorf("eps = %v unexpectedly large", eps)
 	}
-	if EstimateEps(nil, 4) <= 0 {
+	if estimateEpsFlat(nil, 0, 4) <= 0 {
 		t.Error("empty estimate should fall back to a positive default")
 	}
 }
@@ -304,29 +305,6 @@ func TestRunAutoEps(t *testing.T) {
 	}
 	if res.NumClusters != 2 {
 		t.Errorf("auto-eps clusters = %d, want 2", res.NumClusters)
-	}
-}
-
-func TestClusterSizes(t *testing.T) {
-	res := &Result{Labels: []int{1, 1, 2, 0, 2, 2}, NumClusters: 2}
-	sizes := res.ClusterSizes()
-	if sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 3 {
-		t.Errorf("sizes = %v", sizes)
-	}
-}
-
-func TestCentroids(t *testing.T) {
-	pts := [][]float64{{0, 0}, {2, 2}, {10, 10}}
-	labels := []int{1, 1, 2}
-	cents := Centroids(pts, labels, 2)
-	if cents[1][0] != 1 || cents[1][1] != 1 {
-		t.Errorf("centroid 1 = %v", cents[1])
-	}
-	if cents[2][0] != 10 {
-		t.Errorf("centroid 2 = %v", cents[2])
-	}
-	if Centroids(pts, labels, 0) != nil {
-		t.Error("zero clusters should return nil")
 	}
 }
 

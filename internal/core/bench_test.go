@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,7 @@ func BenchmarkCoreDisplacementLarge(b *testing.B) {
 	for f := range traces {
 		traces[f] = oracle.GenTraces(1_000+uint64(f), fmt.Sprintf("large-f%d", f), 32, 40, 4)
 	}
-	frames, err := BuildFrames(traces, cfg)
+	frames, err := BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

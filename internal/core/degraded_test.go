@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestQuarantineCorruptBursts(t *testing.T) {
 	tr.Bursts[1].Counters = metrics.CounterVector{} // dead PAPI read
 	tr.Bursts[2].DurationNS = -5
 	tr.Bursts[3].Task = 99 // outside Ranks=4
-	frames, err := BuildFrames([]*trace.Trace{tr, mkTrace("y", 4, 4, simplePhases())}, testConfig())
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr, mkTrace("y", 4, 4, simplePhases())}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestQuarantineCorruptBursts(t *testing.T) {
 	if frames[1].Quarantined != 0 || frames[1].QuarantinedBy != nil {
 		t.Errorf("clean frame reports quarantine: %d %v", frames[1].Quarantined, frames[1].QuarantinedBy)
 	}
-	res, err := NewTracker(testConfig()).Track(frames)
+	res, err := NewTracker(testConfig()).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCleanRunDiagnosticsClean(t *testing.T) {
 }
 
 func TestBridgeOverDeadExperiment(t *testing.T) {
-	frames, err := BuildFrames([]*trace.Trace{
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{
 		mkTrace("x", 4, 4, simplePhases()),
 		deadTrace("dead", 4),
 		mkTrace("z", 4, 4, simplePhases()),
@@ -97,7 +98,7 @@ func TestBridgeOverDeadExperiment(t *testing.T) {
 	if frames[1].DegradedReason != "no bursts after quarantine and filtering" {
 		t.Errorf("reason: %q", frames[1].DegradedReason)
 	}
-	res, err := NewTracker(testConfig()).Track(frames)
+	res, err := NewTracker(testConfig()).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestCollapsedFrameBridged(t *testing.T) {
 		{IPC: 0.8, Instr: 5e6, Stack: stackR("b", 2)},
 		{IPC: 0.8, Instr: 5e6, Stack: stackR("c", 3)},
 	}
-	frames, err := BuildFrames([]*trace.Trace{
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{
 		mkTrace("x", 4, 4, triPhases()),
 		mkTrace("flat", 4, 4, collapsed),
 		mkTrace("z", 4, 4, triPhases()),
@@ -153,7 +154,7 @@ func TestCollapsedFrameBridged(t *testing.T) {
 		t.Fatalf("middle frame: degraded=%v reason=%q (clusters=%d)",
 			frames[1].Degraded, frames[1].DegradedReason, frames[1].NumClusters)
 	}
-	res, err := NewTracker(testConfig()).Track(frames)
+	res, err := NewTracker(testConfig()).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestLowResolutionSeriesNotCollapsed(t *testing.T) {
 	// A genuine one-cluster study (max clusters in the series < 3) must
 	// keep its frames healthy: that is structure, not damage.
 	single := []phaseDef{{IPC: 1.0, Instr: 8e6, Stack: stackR("a", 1)}}
-	frames, err := BuildFrames([]*trace.Trace{
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{
 		mkTrace("x", 4, 4, simplePhases()),
 		mkTrace("y", 4, 4, single),
 	}, testConfig())
@@ -184,7 +185,7 @@ func TestLowResolutionSeriesNotCollapsed(t *testing.T) {
 }
 
 func TestAllDegradedIsError(t *testing.T) {
-	_, err := BuildFrames([]*trace.Trace{
+	_, err := BuildFramesContext(context.Background(), []*trace.Trace{
 		deadTrace("a", 4),
 		deadTrace("b", 4),
 	}, testConfig())
@@ -197,7 +198,7 @@ func TestAllDegradedIsError(t *testing.T) {
 }
 
 func TestExportCarriesDiagnostics(t *testing.T) {
-	frames, err := BuildFrames([]*trace.Trace{
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{
 		mkTrace("x", 4, 4, simplePhases()),
 		deadTrace("dead", 4),
 		mkTrace("z", 4, 4, simplePhases()),
@@ -205,7 +206,7 @@ func TestExportCarriesDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewTracker(testConfig()).Track(frames)
+	res, err := NewTracker(testConfig()).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -381,10 +381,6 @@ func SequenceCorrelate(a, b *Frame, seqA, seqB []int, pivotsA, pivotsB map[int]i
 	return m
 }
 
-// consensusOf returns the consensus execution sequence of a frame from its
-// star alignment.
-func consensusOf(al *align.Alignment) []int { return al.Consensus() }
-
 // StackTable summarises, per call-stack reference, which clusters of each
 // frame contain bursts pointing at it — the paper's Table 1. Keys are
 // references present in either frame.

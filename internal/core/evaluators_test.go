@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func twoFrames(t *testing.T, a, b *trace.Trace) (*Frame, *Frame, Config) {
 	t.Helper()
 	cfg := testConfig()
-	frames, err := BuildFrames([]*trace.Trace{a, b}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{a, b}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestSPMDSimultaneityBimodal(t *testing.T) {
 	}
 	tr := mkTrace("x", 8, 4, phases)
 	cfg := testConfig()
-	frames, err := BuildFrames([]*trace.Trace{tr}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestSPMDNoFalsePairs(t *testing.T) {
 	// Sequential phases never co-occur.
 	tr := mkTrace("x", 8, 4, simplePhases())
 	cfg := testConfig().withDefaults()
-	frames, err := BuildFrames([]*trace.Trace{tr}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestHasStacks(t *testing.T) {
 func TestTaskSequencesSampling(t *testing.T) {
 	tr := mkTrace("x", 16, 2, simplePhases())
 	cfg := testConfig()
-	frames, err := BuildFrames([]*trace.Trace{tr}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

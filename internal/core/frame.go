@@ -246,26 +246,22 @@ func quarantineBursts(t *trace.Trace) (*trace.Trace, map[string]int) {
 	return out, reasons
 }
 
-// BuildFrames converts one trace per experiment into the frame sequence:
-// it quarantines corrupt bursts, filters, evaluates the metric space,
-// clusters every frame independently (the paper stresses this is "an
-// independent, non supervised process" whose numbering differs frame to
-// frame) and finally normalises scales across the series.
+// BuildFramesContext converts one trace per experiment into the frame
+// sequence: it quarantines corrupt bursts, filters, evaluates the metric
+// space, clusters every frame independently (the paper stresses this is
+// "an independent, non supervised process" whose numbering differs frame
+// to frame) and finally normalises scales across the series.
 //
 // Frames that come out unusable — no bursts after quarantine/filtering,
 // no clusters, or a single-cluster collapse while the rest of the series
 // resolves several objects — are marked Degraded rather than failing the
 // build, so one bad experiment coarsens the study instead of killing it.
 // Only a sequence in which every frame is degraded is an error.
-func BuildFrames(traces []*trace.Trace, cfg Config) ([]*Frame, error) {
-	return BuildFramesContext(context.Background(), traces, cfg)
-}
-
-// BuildFramesContext is BuildFrames with cancellation: the per-frame
-// filtering, metric evaluation and clustering loops poll ctx, so a
-// cancelled or timed-out caller stops the build mid-frame instead of
-// paying for the whole sequence. The first error returned after a cancel
-// is ctx.Err().
+//
+// The per-frame filtering, metric evaluation and clustering loops poll
+// ctx, so a cancelled or timed-out caller stops the build mid-frame
+// instead of paying for the whole sequence. The first error returned
+// after a cancel is ctx.Err().
 func BuildFramesContext(ctx context.Context, traces []*trace.Trace, cfg Config) ([]*Frame, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -518,30 +514,4 @@ func (f *Frame) fillClusterInfo(cfg Config) {
 			ci.RawCentroid[d] /= float64(ci.Size)
 		}
 	}
-}
-
-// MetricOver computes an aggregate of metric m over the bursts of cluster
-// id: the duration-weighted mean and the plain total. Aggregating every
-// individual instance (rather than trusting static profiles) is the point
-// the paper makes about multi-modal variability.
-func (f *Frame) MetricOver(id int, m metrics.Metric) (weightedMean, total float64) {
-	var sw, swx float64
-	for i, l := range f.Labels {
-		if l != id {
-			continue
-		}
-		b := f.Trace.Bursts[i]
-		v := m.Eval(b.Sample())
-		w := float64(b.DurationNS)
-		if w <= 0 {
-			w = 1
-		}
-		sw += w
-		swx += v * w
-		total += v
-	}
-	if sw == 0 {
-		return math.NaN(), total
-	}
-	return swx / sw, total
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestBuildFramesBasic(t *testing.T) {
 		{IPC: 0.5, Instr: 4e6, Stack: stackR("b", 2)},
 	}
 	tr := mkTrace("x", 4, 5, phases)
-	frames, err := BuildFrames([]*trace.Trace{tr}, testConfig())
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestBuildFramesBasic(t *testing.T) {
 }
 
 func TestBuildFramesEmptyInput(t *testing.T) {
-	if _, err := BuildFrames(nil, testConfig()); err == nil {
+	if _, err := BuildFramesContext(context.Background(), nil, testConfig()); err == nil {
 		t.Error("no traces accepted")
 	}
 	empty := &trace.Trace{Meta: trace.Metadata{Label: "e"}}
-	if _, err := BuildFrames([]*trace.Trace{empty}, testConfig()); err == nil {
+	if _, err := BuildFramesContext(context.Background(), []*trace.Trace{empty}, testConfig()); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
@@ -80,7 +81,7 @@ func TestBuildFramesMinDurationFilter(t *testing.T) {
 	tr := mkTrace("x", 4, 5, phases)
 	cfg := testConfig()
 	cfg.MinBurstDurationNS = 1000
-	frames, err := BuildFrames([]*trace.Trace{tr}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestBuildFramesTopDurationFilter(t *testing.T) {
 	tr := mkTrace("x", 4, 5, phases)
 	cfg := testConfig()
 	cfg.TopDurationFrac = 0.9
-	frames, err := BuildFrames([]*trace.Trace{tr}, cfg)
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestNormalizeSeriesRankWeighting(t *testing.T) {
 			{IPC: 0.5, Instr: 4e7 / float64(ranks), Stack: stackR("b", 2)},
 		})
 	}
-	frames, err := BuildFrames([]*trace.Trace{mk(4), mk(8)}, testConfig())
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{mk(4), mk(8)}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestNormalizeSeriesMinMax(t *testing.T) {
 		{IPC: 1.5, Instr: 2e6, Stack: stackR("b", 2)},
 	}
 	tr := mkTrace("x", 4, 4, phases)
-	frames, err := BuildFrames([]*trace.Trace{tr}, testConfig())
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestNormalizeSeriesMinMax(t *testing.T) {
 func TestClusteredDuration(t *testing.T) {
 	phases := []phaseDef{{IPC: 1.0, Instr: 1e6, Stack: stackR("a", 1)}}
 	tr := mkTrace("x", 2, 3, phases)
-	frames, err := BuildFrames([]*trace.Trace{tr}, testConfig())
+	frames, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,34 +166,48 @@ func TestClusteredDuration(t *testing.T) {
 	}
 }
 
+// TestMetricOver checks the per-cluster aggregate a trend point reports:
+// the duration-weighted mean and the plain total of a metric over every
+// burst of the cluster. Aggregating each instance rather than trusting
+// static profiles is the point the paper makes about multi-modal
+// variability.
 func TestMetricOver(t *testing.T) {
 	phases := []phaseDef{
 		{IPC: 2.0, Instr: 1e6, Stack: stackR("a", 1)},
 		{IPC: 0.5, Instr: 9e6, Stack: stackR("b", 2)},
 	}
-	tr := mkTrace("x", 2, 3, phases)
-	frames, err := BuildFrames([]*trace.Trace{tr}, testConfig())
+	res, err := buildAndTrack(testConfig(), mkTrace("x", 2, 3, phases))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := frames[0]
-	// Identify which cluster holds phase "b" (heavier by duration: 18e6
-	// cycles vs 0.5e6 -> cluster 1).
-	mean, total := f.MetricOver(1, metrics.IPC)
-	if math.Abs(mean-0.5) > 1e-9 {
-		t.Errorf("cluster 1 IPC = %v, want 0.5", mean)
+	pointOf := func(cluster int) TrendPoint {
+		t.Helper()
+		for _, reg := range res.Regions {
+			if len(reg.Members[0]) == 1 && reg.Members[0][0] == cluster {
+				rt, err := res.Trend(reg.ID, metrics.IPC)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rt.Points[0]
+			}
+		}
+		t.Fatalf("no region holds exactly cluster %d", cluster)
+		return TrendPoint{}
 	}
-	if math.Abs(total-6*0.5) > 1e-9 {
-		t.Errorf("cluster 1 IPC total = %v", total)
+	// Phase "b" is the heavier cluster by duration (18e6 cycles vs 0.5e6
+	// -> cluster 1).
+	p := pointOf(1)
+	if math.Abs(p.Mean-0.5) > 1e-9 {
+		t.Errorf("cluster 1 IPC = %v, want 0.5", p.Mean)
 	}
-	mean, _ = f.MetricOver(2, metrics.IPC)
-	if math.Abs(mean-2.0) > 1e-9 {
-		t.Errorf("cluster 2 IPC = %v, want 2.0", mean)
+	if math.Abs(p.Total-6*0.5) > 1e-9 {
+		t.Errorf("cluster 1 IPC total = %v", p.Total)
 	}
-	// Unknown cluster: NaN mean.
-	mean, _ = f.MetricOver(17, metrics.IPC)
-	if !math.IsNaN(mean) {
-		t.Errorf("missing cluster mean = %v, want NaN", mean)
+	if p = pointOf(2); math.Abs(p.Mean-2.0) > 1e-9 {
+		t.Errorf("cluster 2 IPC = %v, want 2.0", p.Mean)
+	}
+	if _, err := res.Trend(17, metrics.IPC); err == nil {
+		t.Error("trend of a missing region accepted")
 	}
 }
 
@@ -213,9 +228,9 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	// BuildFrames propagates the validation error.
+	// BuildFramesContext propagates the validation error.
 	tr := mkTrace("x", 2, 2, simplePhases())
-	if _, err := BuildFrames([]*trace.Trace{tr}, Config{MinCorrelation: 2}); err == nil {
+	if _, err := BuildFramesContext(context.Background(), []*trace.Trace{tr}, Config{MinCorrelation: 2}); err == nil {
 		t.Error("BuildFrames accepted an invalid config")
 	}
 }

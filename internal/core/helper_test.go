@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"perftrack/internal/cluster"
 	"perftrack/internal/metrics"
 	"perftrack/internal/trace"
@@ -79,9 +81,24 @@ func testConfig() Config {
 
 // buildAndTrack is a convenience wrapper for end-to-end tests.
 func buildAndTrack(cfg Config, traces ...*trace.Trace) (*Result, error) {
-	frames, err := BuildFrames(traces, cfg)
+	frames, err := BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewTracker(cfg).Track(frames)
+	return NewTracker(cfg).TrackContext(context.Background(), frames)
+}
+
+// RowArgmax returns the column with the highest value in row i and that
+// value (0, 0 when the row is empty).
+func (m *Matrix) RowArgmax(i int) (int, float64) {
+	bestJ, bestV := 0, 0.0
+	if i <= 0 || i >= len(m.P) {
+		return 0, 0
+	}
+	for j := 1; j < len(m.P[i]); j++ {
+		if m.P[i][j] > bestV {
+			bestJ, bestV = j, m.P[i][j]
+		}
+	}
+	return bestJ, bestV
 }

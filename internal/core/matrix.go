@@ -66,38 +66,6 @@ func (m *Matrix) Threshold(min float64) {
 	}
 }
 
-// NormalizeRows rescales every row to sum to 1 (rows summing to 0 are left
-// untouched).
-func (m *Matrix) NormalizeRows() {
-	for i := 1; i < len(m.P); i++ {
-		var sum float64
-		for j := 1; j < len(m.P[i]); j++ {
-			sum += m.P[i][j]
-		}
-		if sum == 0 {
-			continue
-		}
-		for j := 1; j < len(m.P[i]); j++ {
-			m.P[i][j] /= sum
-		}
-	}
-}
-
-// RowArgmax returns the column with the highest value in row i and that
-// value (0, 0 when the row is empty).
-func (m *Matrix) RowArgmax(i int) (int, float64) {
-	bestJ, bestV := 0, 0.0
-	if i <= 0 || i >= len(m.P) {
-		return 0, 0
-	}
-	for j := 1; j < len(m.P[i]); j++ {
-		if m.P[i][j] > bestV {
-			bestJ, bestV = j, m.P[i][j]
-		}
-	}
-	return bestJ, bestV
-}
-
 // NonZero returns all (row, col, value) cells above zero in row-major
 // order.
 func (m *Matrix) NonZero() []Cell {

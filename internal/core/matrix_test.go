@@ -36,20 +36,6 @@ func TestMatrixThreshold(t *testing.T) {
 	}
 }
 
-func TestMatrixNormalizeRows(t *testing.T) {
-	m := NewMatrix("t", 0, 1, 2, 2)
-	m.Set(1, 1, 2)
-	m.Set(1, 2, 6)
-	m.NormalizeRows()
-	if m.At(1, 1) != 0.25 || m.At(1, 2) != 0.75 {
-		t.Errorf("normalised row = %v %v", m.At(1, 1), m.At(1, 2))
-	}
-	// An all-zero row stays zero.
-	if m.At(2, 1) != 0 {
-		t.Error("zero row changed")
-	}
-}
-
 func TestMatrixRowArgmax(t *testing.T) {
 	m := NewMatrix("t", 0, 1, 2, 3)
 	m.Set(1, 1, 0.2)

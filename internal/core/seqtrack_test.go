@@ -204,7 +204,7 @@ func TestSeqTrackerEvaluateCancel(t *testing.T) {
 func TestTrackContextCancel(t *testing.T) {
 	cfg := streamingConfig(0)
 	traces := oracle.GenTraces(6, "cancel", 4, 6, 3).SplitWindows(4)
-	frames, err := BuildFrames(traces, cfg)
+	frames, err := BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,11 @@ func replayWindows(t *testing.T, seed uint64, windows []*trace.Trace, cfg Config
 // windows and returns the export bytes and pair digest.
 func batchPrefix(t *testing.T, canon []*trace.Trace, n int, cfg Config) ([]byte, string) {
 	t.Helper()
-	frames, err := BuildFrames(canon[:n], cfg)
+	frames, err := BuildFramesContext(context.Background(), canon[:n], cfg)
 	if err != nil {
 		t.Fatalf("prefix %d: BuildFrames: %v", n, err)
 	}
-	res, err := NewTracker(cfg).Track(frames)
+	res, err := NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatalf("prefix %d: Track: %v", n, err)
 	}

@@ -94,22 +94,18 @@ type Tracker struct {
 // take defaults).
 func NewTracker(cfg Config) *Tracker { return &Tracker{cfg: cfg.withDefaults()} }
 
-// Track correlates the objects of every pair of consecutive healthy
+// TrackContext correlates the objects of every pair of consecutive healthy
 // frames and chains the relations into tracked regions over the whole
 // sequence. Degraded frames are bridged: the surrounding healthy frames
 // are correlated directly (the displacement and sequence evaluators do
 // not require adjacency, only comparable normalised spaces), so a corrupt
 // or collapsed experiment coarsens the trend instead of aborting the
 // study. Every bridge is recorded in Result.Diagnostics.
-func (tk *Tracker) Track(frames []*Frame) (*Result, error) {
-	return tk.TrackContext(context.Background(), frames)
-}
-
-// TrackContext is Track with cancellation: the per-frame alignment
-// workers and per-pair correlation workers poll ctx between stages, so a
-// cancelled or timed-out caller abandons the remaining evaluator work
-// instead of computing matrices nobody will read. After a cancel the
-// returned error is ctx.Err().
+//
+// The per-frame alignment workers and per-pair correlation workers poll
+// ctx between stages, so a cancelled or timed-out caller abandons the
+// remaining evaluator work instead of computing matrices nobody will
+// read. After a cancel the returned error is ctx.Err().
 func (tk *Tracker) TrackContext(ctx context.Context, frames []*Frame) (*Result, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("core: no frames to track")
@@ -201,7 +197,7 @@ func (tk *Tracker) evalFrame(ctx context.Context, i int, f *Frame) *frameEval {
 	var al *align.Alignment
 	if !cfg.DisableSPMD || !cfg.DisableSequence {
 		al = frameAlignment(f, cfg)
-		e.consensus = consensusOf(al)
+		e.consensus = al.Consensus()
 	}
 	if cfg.DisableSPMD {
 		e.spmd = NewMatrix("spmd", i, i, f.NumClusters, f.NumClusters)

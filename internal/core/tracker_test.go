@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"perftrack/internal/trace"
@@ -28,7 +29,7 @@ func TestTrackIdentity(t *testing.T) {
 }
 
 func TestTrackNoFrames(t *testing.T) {
-	if _, err := NewTracker(testConfig()).Track(nil); err == nil {
+	if _, err := NewTracker(testConfig()).TrackContext(context.Background(), nil); err == nil {
 		t.Error("empty frame sequence accepted")
 	}
 }

@@ -171,9 +171,6 @@ func (n *Node) rebuildLocked() {
 // Self returns this node's id.
 func (n *Node) Self() string { return n.self.ID }
 
-// SelfURL returns this node's advertised base URL.
-func (n *Node) SelfURL() string { return n.self.URL }
-
 // Replicas returns the configured replica count (owner included).
 func (n *Node) Replicas() int { return n.cfg.Replicas }
 

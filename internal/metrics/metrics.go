@@ -79,14 +79,6 @@ func (v *CounterVector) Add(o CounterVector) {
 	}
 }
 
-// Scale multiplies every slot by f and returns the result.
-func (v CounterVector) Scale(f float64) CounterVector {
-	for i := range v {
-		v[i] *= f
-	}
-	return v
-}
-
 // Sample is the minimal per-burst information a Metric can be computed
 // from. It decouples this package from the trace model.
 type Sample struct {
@@ -242,15 +234,10 @@ func ByName(name string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Space evaluates a list of metrics over one sample, producing the burst's
-// coordinates in the performance space.
-func Space(ms []Metric, s Sample) []float64 {
-	return SpaceInto(make([]float64, len(ms)), ms, s)
-}
-
-// SpaceInto is Space writing into dst (len(dst) must equal len(ms)),
-// letting callers lay frames out as one flat allocation instead of a
-// boxed slice per burst.
+// SpaceInto evaluates a list of metrics over one sample into dst
+// (len(dst) must equal len(ms)), producing the burst's coordinates in the
+// performance space. Writing into dst lets callers lay frames out as one
+// flat allocation instead of a boxed slice per burst.
 func SpaceInto(dst []float64, ms []Metric, s Sample) []float64 {
 	for i, m := range ms {
 		dst[i] = m.Eval(s)
@@ -284,9 +271,6 @@ func EmptyRange() Range {
 	return Range{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// Empty reports whether the range has never been extended.
-func (r Range) Empty() bool { return r.Min > r.Max }
-
 // Normalize maps v into [0,1] over the range. Degenerate ranges map to 0.5
 // so that identical values cluster together instead of exploding.
 func (r Range) Normalize(v float64) float64 {
@@ -295,31 +279,4 @@ func (r Range) Normalize(v float64) float64 {
 		return 0.5
 	}
 	return (v - r.Min) / w
-}
-
-// Denormalize is the inverse of Normalize for non-degenerate ranges.
-func (r Range) Denormalize(u float64) float64 {
-	w := r.Width()
-	if w <= 0 {
-		return r.Min
-	}
-	return r.Min + u*w
-}
-
-// RangesOf computes per-dimension ranges over a point set.
-func RangesOf(points [][]float64) []Range {
-	if len(points) == 0 {
-		return nil
-	}
-	dims := len(points[0])
-	rs := make([]Range, dims)
-	for d := range rs {
-		rs[d] = EmptyRange()
-	}
-	for _, p := range points {
-		for d, v := range p {
-			rs[d].Extend(v)
-		}
-	}
-	return rs
 }

@@ -386,15 +386,10 @@ type Run struct {
 	Scenario Scenario
 }
 
-// SimulateSeries simulates a list of runs in order, returning one trace per
-// run. It fails fast on the first error.
-func SimulateSeries(runs []Run) ([]*trace.Trace, error) {
-	return SimulateSeriesContext(context.Background(), runs)
-}
-
-// SimulateSeriesContext is SimulateSeries with cancellation between runs,
-// so a cancelled or timed-out caller does not simulate experiments whose
-// traces nobody will analyse.
+// SimulateSeriesContext simulates a list of runs in order, returning one
+// trace per run. It fails fast on the first error and checks ctx between
+// runs, so a cancelled or timed-out caller does not simulate experiments
+// whose traces nobody will analyse.
 func SimulateSeriesContext(ctx context.Context, runs []Run) ([]*trace.Trace, error) {
 	out := make([]*trace.Trace, 0, len(runs))
 	for i, r := range runs {

@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -364,13 +365,13 @@ func TestSimulateSeries(t *testing.T) {
 		{App: testApp(), Scenario: testScenario()},
 		{App: testApp(), Scenario: testScenario()},
 	}
-	traces, err := SimulateSeries(runs)
+	traces, err := SimulateSeriesContext(context.Background(), runs)
 	if err != nil || len(traces) != 2 {
 		t.Fatalf("SimulateSeries = %v, %v", traces, err)
 	}
 	bad := runs
 	bad[1].Scenario.Ranks = 0
-	if _, err := SimulateSeries(bad); err == nil {
+	if _, err := SimulateSeriesContext(context.Background(), bad); err == nil {
 		t.Error("SimulateSeries accepted a bad run")
 	}
 }

@@ -1,11 +1,11 @@
 package report
 
 import (
+	"context"
 	"fmt"
 
 	"perftrack/internal/apps"
 	"perftrack/internal/core"
-	"perftrack/internal/mpisim"
 	"perftrack/internal/trace"
 )
 
@@ -19,21 +19,16 @@ type StudyResult struct {
 
 // RunStudy simulates a catalog study and tracks it.
 func RunStudy(st apps.Study) (*StudyResult, error) {
-	traces, err := mpisim.SimulateSeries(st.Runs)
+	ctx := context.Background()
+	traces, err := st.Simulate(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
 	}
-	if st.Windows > 1 {
-		if len(traces) != 1 {
-			return nil, fmt.Errorf("report: study %s: windowed analysis needs one run, got %d", st.Name, len(traces))
-		}
-		traces = traces[0].SplitWindows(st.Windows)
-	}
-	frames, err := core.BuildFrames(traces, st.Track)
+	frames, err := core.BuildFramesContext(ctx, traces, st.Track)
 	if err != nil {
 		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
 	}
-	res, err := core.NewTracker(st.Track).Track(frames)
+	res, err := core.NewTracker(st.Track).TrackContext(ctx, frames)
 	if err != nil {
 		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
 	}

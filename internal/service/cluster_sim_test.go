@@ -359,7 +359,7 @@ func (c *clusterSim) verifyAll() {
 		if p := c.srvs[ni].Journal().Stats().Pending; p != 0 {
 			c.fail("job journal on %s holds %d intents at quiescence", c.ids[ni], p)
 		}
-		if p := c.srvs[ni].MeshJournal().Stats().Pending; p != 0 {
+		if p := c.srvs[ni].meshJournal.Stats().Pending; p != 0 {
 			c.fail("mesh journal on %s holds %d unpaid debts after rebalance", c.ids[ni], p)
 		}
 	}
@@ -765,7 +765,7 @@ func TestClusterReplayRacesRebalance(t *testing.T) {
 		if _, state, msg := srvB.Result(jB); state != StateDone {
 			t.Fatalf("round %d: B job state %s: %s", round, state, msg)
 		}
-		if p := srvB.MeshJournal().Stats().Pending; p == 0 {
+		if p := srvB.meshJournal.Stats().Pending; p == 0 {
 			t.Fatalf("round %d: expected hand-off debt on B after push to dead A", round)
 		}
 
@@ -812,7 +812,7 @@ func TestClusterReplayRacesRebalance(t *testing.T) {
 		if p := srvA2.Journal().Stats().Pending; p != 0 {
 			t.Fatalf("round %d: %d intents stranded on A after replay", round, p)
 		}
-		if p := srvB.MeshJournal().Stats().Pending; p != 0 {
+		if p := srvB.meshJournal.Stats().Pending; p != 0 {
 			t.Fatalf("round %d: %d hand-off debts unpaid on B after rebalance", round, p)
 		}
 		if _, held := srvA2.Store().GetMeta(key); !held {

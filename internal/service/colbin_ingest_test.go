@@ -7,6 +7,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -31,7 +32,7 @@ func uploadPair(t *testing.T) (texts []string, bins [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := mpisim.SimulateSeries(st.Runs)
+	traces, err := mpisim.SimulateSeriesContext(context.Background(), st.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}

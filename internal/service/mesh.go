@@ -93,10 +93,6 @@ func (s *Server) openMesh() error {
 // Mesh exposes the cluster node (nil when clustering is disabled).
 func (s *Server) Mesh() *mesh.Node { return s.mesh }
 
-// MeshJournal exposes the hand-off journal (nil when disabled); the
-// cluster simulation inspects replication debt through it.
-func (s *Server) MeshJournal() *store.Journal { return s.meshJournal }
-
 func viaMesh(r *http.Request) bool { return r.Header.Get("X-Mesh-From") != "" }
 
 // forwardTarget decides whether a key must be forwarded: clustering on,
@@ -442,7 +438,7 @@ func (s *Server) Rebalance(ctx context.Context) (int, error) {
 		}
 		payload, ok, err := s.store.Get(m.Key)
 		if err != nil || !ok {
-			continue // compacted away mid-scan
+			continue // unreadable or absent under its listed key
 		}
 		frame = store.EncodeFrame(frame[:0], store.Record{
 			Key: m.Key, Series: m.Series, Label: m.Label, UnixNano: m.UnixNano, Payload: payload,

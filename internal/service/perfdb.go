@@ -56,10 +56,9 @@ func (s *Server) openStore() error {
 	r.NewGaugeFunc("trackd_store_records", "Live records in the persistent store.", func() int64 { return int64(st.Stats().Records) })
 	r.NewGaugeFunc("trackd_store_segments", "Segment files in the persistent store.", func() int64 { return int64(st.Stats().Segments) })
 	r.NewGaugeFunc("trackd_store_bytes", "On-disk bytes of the persistent store.", func() int64 { return st.Stats().Bytes })
-	r.NewGaugeFunc("trackd_store_superseded", "Superseded records awaiting compaction.", func() int64 { return int64(st.Stats().Superseded) })
+	r.NewGaugeFunc("trackd_store_superseded", "Superseded records still on disk (never reclaimed at runtime).", func() int64 { return int64(st.Stats().Superseded) })
 	r.NewGaugeFunc("trackd_store_appends", "Cumulative appends since open.", func() int64 { return int64(st.Stats().Appends) })
 	r.NewGaugeFunc("trackd_store_fsyncs", "Cumulative fsyncs since open.", func() int64 { return int64(st.Stats().Fsyncs) })
-	r.NewGaugeFunc("trackd_store_compactions", "Cumulative compactions since open.", func() int64 { return int64(st.Stats().Compactions) })
 	return nil
 }
 
@@ -205,7 +204,7 @@ func (s *Server) loadSeriesRuns(name string) ([]trajectory.Run, error) {
 			return nil, fmt.Errorf("reading %s: %w", m.Key, err)
 		}
 		if !ok {
-			continue // compacted away between List and Get
+			continue // absent under its listed key
 		}
 		run, err := trajectory.ParseRun(payload, m.Key, m.Label, m.UnixNano)
 		if err != nil {

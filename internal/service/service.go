@@ -49,7 +49,6 @@ import (
 	"perftrack/internal/core"
 	"perftrack/internal/faults"
 	"perftrack/internal/mesh"
-	"perftrack/internal/mpisim"
 	"perftrack/internal/store"
 	"perftrack/internal/trace"
 )
@@ -456,9 +455,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the metrics registry (for embedding hosts).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Submit resolves the request, consults the cache and singleflight table,
 // and either returns a finished job (cache hit), an existing identical
 // in-flight job (coalesced=true), or enqueues a new one. ErrQueueFull
@@ -852,16 +848,10 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec) ([]byte, *core.Diag
 	if spec.study != nil {
 		sctx, cancel := stageCtx()
 		var err error
-		traces, err = mpisim.SimulateSeriesContext(sctx, spec.study.Runs)
+		traces, err = spec.study.Simulate(sctx)
 		cancel()
 		if err != nil {
 			return nil, nil, err
-		}
-		if spec.study.Windows > 1 {
-			if len(traces) != 1 {
-				return nil, nil, fmt.Errorf("windowed study needs exactly one run, got %d", len(traces))
-			}
-			traces = traces[0].SplitWindows(spec.study.Windows)
 		}
 	} else if spec.windows > 1 {
 		traces = traces[0].SplitWindows(spec.windows)

@@ -302,7 +302,7 @@ func TestUploadTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := mpisim.SimulateSeries(st.Runs)
+	traces, err := mpisim.SimulateSeriesContext(context.Background(), st.Runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,9 +361,6 @@ func (s *Server) openStreams() error {
 	return nil
 }
 
-// StreamJournal exposes the streams journal (nil without a store).
-func (s *Server) StreamJournal() *store.Journal { return s.streamJournal }
-
 // resumeStream rebuilds one journaled stream: the session is recreated
 // from the creation request and every sealed window is restored from
 // its raw perfdb record, oldest first. The open window at crash time is

@@ -98,11 +98,11 @@ func batchWindowExport(t *testing.T, bursts []trace.Burst, countN, ranks int, la
 		w.SortByTaskTime()
 		windows = append(windows, w)
 	}
-	frames, err := core.BuildFrames(windows, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), windows, cfg)
 	if err != nil {
 		t.Fatalf("BuildFrames: %v", err)
 	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatalf("Track: %v", err)
 	}
@@ -502,8 +502,8 @@ func TestStreamValidationAndHealth(t *testing.T) {
 	client := srv.Client()
 
 	bad := []StreamRequest{
-		{Window: stream.WindowSpec{}},                               // no windowing
-		{Window: stream.WindowSpec{CountN: 5, WindowNS: 100}},       // both modes
+		{Window: stream.WindowSpec{}},                         // no windowing
+		{Window: stream.WindowSpec{CountN: 5, WindowNS: 100}}, // both modes
 		{Window: stream.WindowSpec{CountN: 5}, Metrics: []string{"nope"}},
 		{Window: stream.WindowSpec{CountN: 5}, ID: "bad/id"},
 		{Window: stream.WindowSpec{CountN: 5}, Series: "bad series"},

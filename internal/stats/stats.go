@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolbox perftrack needs:
-// moments, order statistics, correlation and simple regression models used
-// to fit and extrapolate per-region performance trends.
+// moments and the simple regression models used to fit and extrapolate
+// per-region performance trends.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by estimators that need at least one sample.
@@ -29,27 +28,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// WeightedMean returns the w-weighted mean of xs. Zero total weight falls
-// back to the unweighted mean.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sw, sxw float64
-	for i, x := range xs {
-		w := 1.0
-		if i < len(ws) {
-			w = ws[i]
-		}
-		sw += w
-		sxw += x * w
-	}
-	if sw == 0 {
-		return Mean(xs)
-	}
-	return sxw / sw
-}
-
 // Variance returns the population variance of xs.
 func Variance(xs []float64) float64 {
 	n := len(xs)
@@ -67,77 +45,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the extrema of xs. It returns ErrEmpty for empty input.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns ErrEmpty for empty input.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0], nil
-	}
-	if p >= 100 {
-		return s[len(s)-1], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// Slices of mismatched length are truncated to the shorter one. Degenerate
-// (zero-variance) inputs yield 0.
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	if n == 0 {
-		return 0
-	}
-	mx := Mean(xs[:n])
-	my := Mean(ys[:n])
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
 
 // LinearFit is a least-squares line y = Intercept + Slope*x.
 type LinearFit struct {
@@ -230,14 +137,4 @@ func FitLogLinear(xs, ys []float64) (LogLinearFit, error) {
 		return LogLinearFit{}, err
 	}
 	return LogLinearFit{A: math.Exp(lin.Intercept), B: lin.Slope, R2: lin.R2, N: lin.N}, nil
-}
-
-// RelChange returns (b-a)/a, the relative change from a to b, or 0 when a
-// is zero. Used pervasively to compare measured trend deltas against the
-// percentages the paper reports.
-func RelChange(a, b float64) float64 {
-	if a == 0 {
-		return 0
-	}
-	return (b - a) / a
 }

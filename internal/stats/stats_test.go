@@ -21,25 +21,6 @@ func TestSumMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	xs := []float64{1, 3}
-	ws := []float64{3, 1}
-	if got := WeightedMean(xs, ws); got != 1.5 {
-		t.Errorf("WeightedMean = %v, want 1.5", got)
-	}
-	// Zero weights fall back to the plain mean.
-	if got := WeightedMean(xs, []float64{0, 0}); got != 2 {
-		t.Errorf("zero-weight WeightedMean = %v, want 2", got)
-	}
-	// Short weight slice: missing weights default to 1.
-	if got := WeightedMean([]float64{2, 4}, []float64{1}); got != 3 {
-		t.Errorf("short-weights WeightedMean = %v, want 3", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Error("WeightedMean(nil) should be 0")
-	}
-}
-
 func TestVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); got != 4 {
@@ -50,99 +31,6 @@ func TestVarianceStdDev(t *testing.T) {
 	}
 	if Variance([]float64{3}) != 0 {
 		t.Error("variance of singleton should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Errorf("MinMax = %v %v %v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {-5, 15}, {120, 50},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || got != c.want {
-			t.Errorf("Percentile(%v) = %v, %v; want %v", c.p, got, err, c.want)
-		}
-	}
-	// Linear interpolation between ranks.
-	got, _ := Percentile([]float64{10, 20}, 50)
-	if got != 15 {
-		t.Errorf("interpolated percentile = %v, want 15", got)
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Error("empty percentile should fail")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Percentile mutated input: %v", xs)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	got, err := Median([]float64{9, 1, 5})
-	if err != nil || got != 5 {
-		t.Errorf("Median = %v, %v", got, err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Pearson(xs, []float64{2, 4, 6, 8}); !approx(got, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", got)
-	}
-	if got := Pearson(xs, []float64{8, 6, 4, 2}); !approx(got, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", got)
-	}
-	if got := Pearson(xs, []float64{5, 5, 5, 5}); got != 0 {
-		t.Errorf("degenerate correlation = %v, want 0", got)
-	}
-	if Pearson(nil, nil) != 0 {
-		t.Error("empty Pearson should be 0")
-	}
-}
-
-func TestPearsonProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 4 {
-			return true
-		}
-		n := len(raw) / 2
-		xs, ys := raw[:n], raw[n:2*n]
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e100 {
-				return true
-			}
-		}
-		r := Pearson(xs, ys)
-		if math.IsNaN(r) {
-			return false
-		}
-		if r < -1-1e-9 || r > 1+1e-9 {
-			return false
-		}
-		// Symmetry.
-		return approx(r, Pearson(ys, xs), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -232,18 +120,6 @@ func TestFitLogLinearSkipsNonPositive(t *testing.T) {
 func TestFitLogLinearEmpty(t *testing.T) {
 	if _, err := FitLogLinear([]float64{-1, -2}, []float64{1, 2}); err == nil {
 		t.Error("all-nonpositive fit should fail")
-	}
-}
-
-func TestRelChange(t *testing.T) {
-	if got := RelChange(10, 12); !approx(got, 0.2, 1e-12) {
-		t.Errorf("RelChange = %v", got)
-	}
-	if got := RelChange(0, 5); got != 0 {
-		t.Errorf("RelChange from zero = %v, want 0", got)
-	}
-	if got := RelChange(10, 8); !approx(got, -0.2, 1e-12) {
-		t.Errorf("negative RelChange = %v", got)
 	}
 }
 

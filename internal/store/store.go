@@ -11,9 +11,9 @@
 // rebuilt by scanning the segments at open; a torn tail — the result of a
 // crash mid-append — is truncated away rather than treated as fatal, so
 // the store recovers exactly the prefix of intact records. Appending the
-// same key again supersedes the older record; compaction rewrites live
-// records into fresh segments and deletes the old ones, dropping
-// superseded and corrupt data.
+// same key again supersedes the older record. Superseded records stay on
+// disk: the store never reclaims them at runtime (Stats.Superseded counts
+// them).
 //
 // Durability is batched: appends accumulate and fsync runs every
 // SyncEvery records (or on Sync/Close), trading a bounded window of
@@ -72,14 +72,11 @@ type Stats struct {
 	Segments int
 	// Bytes is the total on-disk size of all segments.
 	Bytes int64
-	// Appends, Fsyncs and Compactions count cumulative operations since
-	// open.
-	Appends     uint64
-	Fsyncs      uint64
-	Compactions uint64
+	// Appends and Fsyncs count cumulative operations since open.
+	Appends uint64
+	Fsyncs  uint64
 	// Superseded counts records replaced by a newer append to the same
-	// key and still occupying disk (compaction drops them and resets
-	// this).
+	// key and still occupying disk.
 	Superseded uint64
 	// CorruptDropped counts records dropped at open because their CRC or
 	// structure was invalid; TornTruncated counts bytes cut off the tail
@@ -179,8 +176,7 @@ func listSegments(fsys faults.FS, dir string) ([]int, error) {
 // scanSegment walks one segment, folding its records into the index.
 // Scanning stops at the first invalid record: for the newest segment the
 // tail beyond that point is truncated away (crash recovery); for older
-// segments the remainder is counted corrupt and skipped (compaction will
-// drop it).
+// segments the remainder is counted corrupt and skipped.
 func (s *Store) scanSegment(id int, newest bool) error {
 	path := filepath.Join(s.dir, segName(id))
 	f, err := s.opts.FS.OpenFile(path, os.O_RDONLY, 0)
@@ -245,7 +241,7 @@ func (s *Store) indexRecord(rec Record, seq uint64, at entry) {
 	}
 	if old, ok := s.index[rec.Key]; ok {
 		if old.meta.Seq >= seq {
-			return // stale duplicate (e.g. pre-compaction copy)
+			return // stale duplicate
 		}
 		s.stats.Superseded++
 	}
@@ -375,8 +371,8 @@ func (s *Store) healLocked(off int64) {
 		return
 	}
 	// Seal: sync what we can, close, and move on to a new segment. The
-	// torn frame stays on disk but scanning stops at it and Compact drops
-	// it, matching the mid-history-corruption path.
+	// torn frame stays on disk but scanning stops at it, matching the
+	// mid-history-corruption path.
 	s.active.Sync()
 	s.active.Close()
 	delete(s.readers, s.activeID)
@@ -527,129 +523,6 @@ func (s *Store) Stats() Stats {
 		st.Bytes += sz
 	}
 	return st
-}
-
-// Compact rewrites every live record, in sequence order, into fresh
-// segments and deletes the old files: superseded records, corrupt
-// regions and torn tails all disappear. Sequence numbers are preserved,
-// so a crash between writing the new segments and deleting the old ones
-// only leaves harmless duplicates (the index keeps the newest copy of
-// each seq at the next open).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-
-	live := make([]entry, 0, len(s.index))
-	for _, e := range s.index {
-		live = append(live, e)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].meta.Seq < live[j].meta.Seq })
-
-	oldIDs := make([]int, 0, len(s.segSizes))
-	for id := range s.segSizes {
-		oldIDs = append(oldIDs, id)
-	}
-	sort.Ints(oldIDs)
-
-	// Write live records into brand-new segments numbered past every
-	// existing one.
-	newFirst := s.activeID + 1
-	id := newFirst
-	var (
-		f       faults.File
-		written int64
-		err     error
-	)
-	openSeg := func() error {
-		f, err = s.opts.FS.OpenFile(filepath.Join(s.dir, segName(id)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		written = 0
-		return err
-	}
-	closeSeg := func() error {
-		if f == nil {
-			return nil
-		}
-		t0 := time.Now()
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		s.stats.Fsyncs++
-		if s.opts.OnFsync != nil {
-			s.opts.OnFsync(time.Since(t0))
-		}
-		return f.Close()
-	}
-	if err := openSeg(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	newIndex := make(map[string]entry, len(live))
-	newSizes := map[int]int64{}
-	for _, e := range live {
-		rec, rerr := s.readAtLocked(e)
-		if rerr != nil {
-			// Unreadable under its index entry: drop it rather than abort
-			// the whole compaction.
-			s.stats.CorruptDropped++
-			continue
-		}
-		if written >= s.opts.MaxSegmentBytes {
-			newSizes[id] = written
-			if err := closeSeg(); err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-			id++
-			if err := openSeg(); err != nil {
-				return fmt.Errorf("store: compact: %w", err)
-			}
-		}
-		buf := encodeRecord(nil, rec, e.meta.Seq)
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		newIndex[rec.Key] = entry{seg: id, off: written, size: int64(len(buf)), meta: e.meta}
-		written += int64(len(buf))
-	}
-	newSizes[id] = written
-	if err := closeSeg(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-
-	// Swap: close every old handle, delete old segments, adopt the new
-	// layout, and reopen the append segment.
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
-	}
-	for _, rf := range s.readers {
-		rf.Close()
-	}
-	s.readers = map[int]faults.File{}
-	for _, old := range oldIDs {
-		if err := s.opts.FS.Remove(filepath.Join(s.dir, segName(old))); err != nil {
-			return fmt.Errorf("store: compact: removing old segment: %w", err)
-		}
-	}
-	s.index = newIndex
-	s.segSizes = newSizes
-	s.activeID = id
-	s.dirty = 0
-	s.stats.Superseded = 0
-	s.stats.Compactions++
-	path := filepath.Join(s.dir, segName(s.activeID))
-	af, err := s.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact: reopening active segment: %w", err)
-	}
-	s.active = af
-	return nil
 }
 
 // Close syncs and releases every file handle. The store is unusable

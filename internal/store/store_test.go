@@ -151,58 +151,6 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestCompaction: superseded records vanish, disk shrinks, everything
-// live survives, and the compacted store reopens cleanly.
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{MaxSegmentBytes: 512, SyncEvery: 1})
-	const n = 10
-	for round := 0; round < 5; round++ {
-		for i := 0; i < n; i++ {
-			r := rec(i, "c")
-			r.Payload = []byte(fmt.Sprintf(`{"round":%d,"i":%d}`, round, i))
-			if err := s.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := s.Stats()
-	if before.Superseded == 0 {
-		t.Fatal("no superseded records before compaction")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := s.Stats()
-	if after.Records != n {
-		t.Fatalf("compaction changed live count: %d -> %d", before.Records, after.Records)
-	}
-	if after.Bytes >= before.Bytes {
-		t.Fatalf("compaction did not shrink the store: %d -> %d bytes", before.Bytes, after.Bytes)
-	}
-	if after.Compactions != 1 || after.Superseded != 0 {
-		t.Fatalf("compaction stats %+v", after)
-	}
-	for i := 0; i < n; i++ {
-		got, ok, err := s.Get(fmt.Sprintf("key-%04d", i))
-		want := fmt.Sprintf(`{"round":4,"i":%d}`, i)
-		if err != nil || !ok || string(got) != want {
-			t.Fatalf("Get after compact: %q ok=%v err=%v", got, ok, err)
-		}
-	}
-	// The store stays writable after compaction.
-	if err := s.Append(rec(99, "c")); err != nil {
-		t.Fatalf("append after compact: %v", err)
-	}
-	s.Close()
-
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	if got := len(s2.List()); got != n+1 {
-		t.Fatalf("reopen after compact found %d records, want %d", got, n+1)
-	}
-}
-
 // TestResolveKey: exact, unique-prefix, ambiguous and missing lookups.
 func TestResolveKey(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
@@ -254,8 +202,7 @@ func TestFsyncBatching(t *testing.T) {
 
 // TestMidHistoryCorruption: flipping bytes in an older (sealed) segment
 // must not prevent opening; the records after the corruption point in
-// that segment are dropped, later segments stay intact, and compaction
-// clears the accounting.
+// that segment are dropped and later segments stay intact.
 func TestMidHistoryCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{MaxSegmentBytes: 300, SyncEvery: 1})
@@ -296,11 +243,5 @@ func TestMidHistoryCorruption(t *testing.T) {
 		if _, ok, err := s2.Get(fmt.Sprintf("key-%04d", i)); !ok || err != nil {
 			t.Fatalf("late record key-%04d lost to early corruption: ok=%v err=%v", i, ok, err)
 		}
-	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Stats().Records; got != st.Records {
-		t.Fatalf("compaction changed live count %d -> %d", st.Records, got)
 	}
 }

@@ -18,6 +18,24 @@ func openStreamTestStore(t *testing.T) *Store {
 	return s
 }
 
+// framesOf encodes every record of src whose metadata passes keep as
+// wire frames, the way the mesh's rebalance does: List, Get, EncodeFrame.
+func framesOf(t *testing.T, src *Store, keep func(Meta) bool) []byte {
+	t.Helper()
+	var buf []byte
+	for _, m := range src.List() {
+		if !keep(m) {
+			continue
+		}
+		payload, ok, err := src.Get(m.Key)
+		if err != nil || !ok {
+			t.Fatalf("Get(%s) = %v, %v", m.Key, ok, err)
+		}
+		buf = EncodeFrame(buf, Record{Key: m.Key, Series: m.Series, Label: m.Label, UnixNano: m.UnixNano, Payload: payload}, m.Seq)
+	}
+	return buf
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	src := openStreamTestStore(t)
 	recs := []Record{
@@ -31,14 +49,10 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	n, err := src.ExportRecords(nil, &buf)
-	if err != nil || n != 3 {
-		t.Fatalf("ExportRecords = %d, %v", n, err)
-	}
+	frames := framesOf(t, src, func(Meta) bool { return true })
 
 	dst := openStreamTestStore(t)
-	applied, skipped, err := dst.ImportFrames(bytes.NewReader(buf.Bytes()))
+	applied, skipped, err := dst.ImportFrames(bytes.NewReader(frames))
 	if err != nil || applied != 3 || skipped != 0 {
 		t.Fatalf("ImportFrames = %d applied, %d skipped, %v", applied, skipped, err)
 	}
@@ -54,7 +68,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 
 	// Re-importing the same stream is a no-op: idempotent replication.
-	applied, skipped, err = dst.ImportFrames(bytes.NewReader(buf.Bytes()))
+	applied, skipped, err = dst.ImportFrames(bytes.NewReader(frames))
 	if err != nil || applied != 0 || skipped != 3 {
 		t.Fatalf("re-import = %d applied, %d skipped, %v", applied, skipped, err)
 	}
@@ -71,13 +85,9 @@ func TestStreamFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	n, err := src.ExportRecords(func(m Meta) bool { return m.Series == "keep" }, &buf)
-	if err != nil || n != 2 {
-		t.Fatalf("filtered export = %d, %v", n, err)
-	}
+	frames := framesOf(t, src, func(m Meta) bool { return m.Series == "keep" })
 	dst := openStreamTestStore(t)
-	if applied, _, err := dst.ImportFrames(&buf); err != nil || applied != 2 {
+	if applied, _, err := dst.ImportFrames(bytes.NewReader(frames)); err != nil || applied != 2 {
 		t.Fatalf("import = %d, %v", applied, err)
 	}
 	if _, ok, _ := dst.Get("k2"); ok {

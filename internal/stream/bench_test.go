@@ -83,11 +83,11 @@ func BenchmarkWindowClose10BatchRerun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frames, err := core.BuildFrames(canon, cfg)
+		frames, err := core.BuildFramesContext(context.Background(), canon, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.NewTracker(cfg).Track(frames); err != nil {
+		if _, err := core.NewTracker(cfg).TrackContext(context.Background(), frames); err != nil {
 			b.Fatal(err)
 		}
 	}

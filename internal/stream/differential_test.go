@@ -44,11 +44,11 @@ func batchExport(t *testing.T, windows []*trace.Trace, cfg core.Config) ([]byte,
 		c.SortByTaskTime()
 		canon[i] = c
 	}
-	frames, err := core.BuildFrames(canon, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), canon, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		return nil, err
 	}

@@ -106,11 +106,11 @@ func batchExportFuzz(windows []*trace.Trace, cfg core.Config) ([]byte, error) {
 		c.SortByTaskTime()
 		canon[i] = c
 	}
-	frames, err := core.BuildFrames(canon, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), canon, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		return nil, err
 	}

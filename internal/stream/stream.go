@@ -6,7 +6,7 @@
 //
 // The correctness anchor is differential: replaying a trace through a
 // Session, window by window, is bit-exact with running the batch
-// pipeline (core.BuildFrames + core.Track) over the same window
+// pipeline (core.BuildFramesContext + TrackContext) over the same window
 // boundaries. The canonical window order contract makes that precise:
 // a sealed window's trace is its accepted bursts in a stable
 // (Task, StartNS, Thread) sort of arrival order, so the labels are

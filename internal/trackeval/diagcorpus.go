@@ -1,6 +1,7 @@
 package trackeval
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -252,11 +253,11 @@ type DiagnosisScore struct {
 func EvaluateDiagnosisCorpus(seed uint64, cfg core.Config) ([]DiagnosisScore, error) {
 	var out []DiagnosisScore
 	for _, ds := range DiagnosisCorpus(seed) {
-		frames, err := core.BuildFrames(ds.Traces, cfg)
+		frames, err := core.BuildFramesContext(context.Background(), ds.Traces, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("diagnosis scenario %s: building frames: %w", ds.Name, err)
 		}
-		res, err := core.NewTracker(cfg).Track(frames)
+		res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 		if err != nil {
 			return nil, fmt.Errorf("diagnosis scenario %s: tracking: %w", ds.Name, err)
 		}

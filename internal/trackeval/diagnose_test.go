@@ -1,6 +1,7 @@
 package trackeval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,11 +36,11 @@ func diagResult(t *testing.T, name string, seed uint64) (*core.Result, DiagScena
 		if !strings.HasPrefix(ds.Name, name+"@") {
 			continue
 		}
-		frames, err := core.BuildFrames(ds.Traces, cfg)
+		frames, err := core.BuildFramesContext(context.Background(), ds.Traces, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
-		res, err := core.NewTracker(cfg).Track(frames)
+		res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

@@ -1,6 +1,7 @@
 package trackeval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -76,12 +77,12 @@ func EvaluateScenario(sc Scenario, cfg core.Config) (ScenarioScore, error) {
 	}
 
 	t0 := time.Now()
-	frames, err := core.BuildFrames(sc.Traces, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), sc.Traces, cfg)
 	if err != nil {
 		return ss, fmt.Errorf("scenario %s: building frames: %w", sc.Name, err)
 	}
 	t1 := time.Now()
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		return ss, fmt.Errorf("scenario %s: tracking: %w", sc.Name, err)
 	}

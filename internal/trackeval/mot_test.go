@@ -1,6 +1,7 @@
 package trackeval
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 func evalTracks(t *testing.T, cfg core.Config, seed uint64, tracks []oracle.PhaseTrack) (MOT, *core.Result) {
 	t.Helper()
 	traces := oracle.GenSequence(seed, "mot-test", 8, 2, tracks)
-	frames, err := core.BuildFrames(traces, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		t.Fatalf("building frames: %v", err)
 	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatalf("tracking: %v", err)
 	}

@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,11 +69,11 @@ func analyzeRun(t *testing.T, app mpisim.AppSpec, runIdx int) Run {
 		Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002},
 		Metrics: metrics.DefaultSpace(),
 	}
-	frames, err := core.BuildFrames(traces, cfg)
+	frames, err := core.BuildFramesContext(context.Background(), traces, cfg)
 	if err != nil {
 		t.Fatalf("building frames for run %d: %v", runIdx, err)
 	}
-	res, err := core.NewTracker(cfg).Track(frames)
+	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
 	if err != nil {
 		t.Fatalf("tracking run %d: %v", runIdx, err)
 	}

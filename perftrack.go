@@ -28,7 +28,6 @@ package perftrack
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"perftrack/internal/apps"
@@ -142,17 +141,7 @@ func RunStudyContext(ctx context.Context, st Study) (*Result, error) {
 
 // SimulateStudyContext is SimulateStudy with cancellation between runs.
 func SimulateStudyContext(ctx context.Context, st Study) ([]*Trace, error) {
-	traces, err := mpisim.SimulateSeriesContext(ctx, st.Runs)
-	if err != nil {
-		return nil, err
-	}
-	if st.Windows > 1 {
-		if len(traces) != 1 {
-			return nil, fmt.Errorf("perftrack: study %s: windowed analysis needs exactly one run, got %d", st.Name, len(traces))
-		}
-		return traces[0].SplitWindows(st.Windows), nil
-	}
-	return traces, nil
+	return st.Simulate(ctx)
 }
 
 // Simulate runs a synthetic application under a scenario — the entry
@@ -198,7 +187,9 @@ func ReadTraceFileLenient(path string) (*Trace, DecodeDiagnostics, error) {
 	return trace.ReadFile(path, trace.DecodeOptions{Strict: false})
 }
 
-func DefaultMetrics() []Metric                            { return metrics.DefaultSpace() }
-func MetricByName(name string) (Metric, bool)             { return metrics.ByName(name) }
-func NewTracker(cfg Config) *core.Tracker                 { return core.NewTracker(cfg) }
-func BuildFrames(ts []*Trace, c Config) ([]*Frame, error) { return core.BuildFrames(ts, c) }
+func DefaultMetrics() []Metric                { return metrics.DefaultSpace() }
+func MetricByName(name string) (Metric, bool) { return metrics.ByName(name) }
+func NewTracker(cfg Config) *core.Tracker     { return core.NewTracker(cfg) }
+func BuildFrames(ts []*Trace, c Config) ([]*Frame, error) {
+	return core.BuildFramesContext(context.Background(), ts, c)
+}

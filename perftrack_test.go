@@ -2,6 +2,7 @@ package perftrack
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -213,7 +214,7 @@ func TestTrackerAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tk.Track(frames)
+	res, err := tk.TrackContext(context.Background(), frames)
 	if err != nil || res.SpanningCount == 0 {
 		t.Errorf("tracker alias run: %v, %+v", err, res)
 	}
