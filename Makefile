@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval bench-vet check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec clean
+.PHONY: all build test vet race oracle sim mesh-sim stream-sim chaos fuzz-short cover serve-smoke store-smoke cluster-smoke trackeval bench-vet check fuzz bench-core bench-compare bench-cluster bench-stream bench-codec loc clean
 
 all: build
 
@@ -156,6 +156,17 @@ bench-stream:
 # or the cache-hit re-read (the same colbin decode) is not >= 10x.
 bench-codec:
 	scripts/bench_codec.sh
+
+# loc prints the non-test and test Go line counts of the module and of
+# the trackbench module apart: the figures a change states its net line
+# delta in. It is a report, not a gate, so check does not run it.
+loc_count = printf '%-10s  non-test %6d  test %6d\n' $(1) \
+	$$(find $(2) -name .bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0r cat | wc -l) \
+	$$(find $(2) -name .bench_build -prune -o -name '*_test.go' -print0 | xargs -0r cat | wc -l)
+
+loc:
+	@$(call loc_count,module,. -path ./trackbench -prune -o)
+	@$(call loc_count,trackbench,trackbench)
 
 # A short fuzzing pass over the text trace decoder (lenient + strict).
 fuzz:

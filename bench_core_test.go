@@ -36,8 +36,6 @@ func BenchmarkCoreBuildFramesWRF(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildFrames(p.traces, p.study.Track); err != nil {
-			b.Fatal(err)
-		}
+		p.buildFrames(b)
 	}
 }

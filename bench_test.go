@@ -10,6 +10,7 @@ package perftrack
 // deltas of each study.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -43,6 +44,15 @@ func (p prepared) trackOnce(b *testing.B) *Result {
 		b.Fatal(err)
 	}
 	return res
+}
+
+// buildFrames runs the frame build alone.
+func (p prepared) buildFrames(b *testing.B) []*Frame {
+	frames, err := core.BuildFramesContext(context.Background(), p.traces, p.study.Track)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return frames
 }
 
 func benchTrack(b *testing.B, name string, report func(b *testing.B, res *Result)) {
@@ -79,11 +89,7 @@ func BenchmarkFigure1(b *testing.B) {
 	var frames []*Frame
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		frames, err = BuildFrames(p.traces, p.study.Track)
-		if err != nil {
-			b.Fatal(err)
-		}
+		frames = p.buildFrames(b)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(frames[0].NumClusters), "clusters128")
@@ -94,10 +100,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure3 regenerates the displacement correlation matrix.
 func BenchmarkFigure3(b *testing.B) {
 	p := prepare(b, "WRF")
-	frames, err := BuildFrames(p.traces, p.study.Track)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frames := p.buildFrames(b)
 	cfg := p.study.Track
 	var m *core.Matrix
 	b.ResetTimer()
@@ -111,10 +114,7 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure4 regenerates the SPMD alignment of the WRF frames.
 func BenchmarkFigure4(b *testing.B) {
 	p := prepare(b, "WRF")
-	frames, err := BuildFrames(p.traces, p.study.Track)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frames := p.buildFrames(b)
 	var score float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,10 +128,7 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkTable1 regenerates the call-stack correlations.
 func BenchmarkTable1(b *testing.B) {
 	p := prepare(b, "WRF")
-	frames, err := BuildFrames(p.traces, p.study.Track)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frames := p.buildFrames(b)
 	var n int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -213,11 +210,7 @@ func BenchmarkFigure8(b *testing.B) {
 	var frames []*Frame
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		frames, err = BuildFrames(p.traces, p.study.Track)
-		if err != nil {
-			b.Fatal(err)
-		}
+		frames = p.buildFrames(b)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(frames)), "frames")

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"perftrack"
 	"perftrack/internal/apps"
+	"perftrack/internal/core"
 	"perftrack/internal/plot"
 	"perftrack/internal/profile"
 	"perftrack/internal/report"
@@ -110,20 +112,13 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *windows > 1 {
-		if len(traces) != 1 {
-			return fmt.Errorf("-windows analyses exactly one trace, got %d", len(traces))
-		}
-		traces = traces[0].SplitWindows(*windows)
-	}
-	res, err := perftrack.Track(traces, cfg)
+	res, err := core.Analyze(context.Background(), traces, *windows, cfg)
 	if err != nil {
 		return err
 	}
 	noteDiagnostics(res)
 	sr := &report.StudyResult{
 		Study:  apps.Study{Name: traces[0].Meta.App, Track: cfg, ParamName: "experiment"},
-		Traces: traces,
 		Result: res,
 	}
 	return report.WriteStudyReport(os.Stdout, sr)

@@ -42,7 +42,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"perftrack"
 	"perftrack/internal/apps"
 	"perftrack/internal/cluster"
 	"perftrack/internal/core"
@@ -293,16 +292,10 @@ func cmdTrack(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *windows > 1 {
-		if len(traces) != 1 {
-			return fmt.Errorf("-windows analyses exactly one trace, got %d", len(traces))
-		}
-		traces = traces[0].SplitWindows(*windows)
-	}
-	if len(traces) < 2 {
+	if *windows <= 1 && len(traces) < 2 {
 		return fmt.Errorf("track needs at least two traces (or one trace with -windows), got %d", len(traces))
 	}
-	res, err := perftrack.Track(traces, cfg)
+	res, err := core.Analyze(context.Background(), traces, *windows, cfg)
 	if err != nil {
 		return err
 	}
@@ -320,7 +313,6 @@ func cmdTrack(args []string) error {
 	}
 	sr := &report.StudyResult{
 		Study:  apps.Study{Name: "trackctl", Track: cfg, ParamName: "experiment"},
-		Traces: traces,
 		Result: res,
 	}
 	for _, m := range cfg.Metrics {

@@ -71,13 +71,21 @@ func (st Study) Simulate(ctx context.Context) ([]*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Windows > 1 {
-		if len(traces) != 1 {
-			return nil, fmt.Errorf("apps: study %s: windowed analysis needs exactly one run, got %d", st.Name, len(traces))
-		}
-		return traces[0].SplitWindows(st.Windows), nil
+	traces, err = trace.Windows(traces, st.Windows)
+	if err != nil {
+		return nil, fmt.Errorf("apps: study %s: %w", st.Name, err)
 	}
 	return traces, nil
+}
+
+// Run simulates the study and tracks its frames with the study's
+// configuration.
+func (st Study) Run(ctx context.Context) (*core.Result, error) {
+	traces, err := st.Simulate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return core.Analyze(ctx, traces, 0, st.Track)
 }
 
 // All returns the ten studies in the order of the paper's Table 2.

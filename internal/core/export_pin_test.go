@@ -88,12 +88,7 @@ func TestServiceScaleExportsPinned(t *testing.T) {
 			if tc.emptyFrame >= 0 {
 				traces[tc.emptyFrame].Bursts = nil
 			}
-			ctx := context.Background()
-			frames, err := BuildFramesContext(ctx, traces, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := NewTracker(tc.cfg).TrackContext(ctx, frames)
+			res, err := Analyze(context.Background(), traces, 0, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,5 +107,40 @@ func TestServiceScaleExportsPinned(t *testing.T) {
 				t.Errorf("pair digest = %s, want %s", got, tc.digest)
 			}
 		})
+	}
+}
+
+// TestAnalyzeWindows checks that Analyze over one trace and 4 windows
+// exports the same bytes as building and tracking the hand-split
+// SplitWindows(4) sequence.
+func TestAnalyzeWindows(t *testing.T) {
+	cfg := Config{Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002}}
+	tr := oracle.GenTraces(7, "windowed", 16, 40, 3)
+	ctx := context.Background()
+	export := func(res *Result) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf, metrics.DefaultSpace()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got, err := Analyze(ctx, []*trace.Trace{tr}, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := BuildFramesContext(ctx, tr.SplitWindows(4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewTracker(cfg).TrackContext(ctx, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Frames) != 4 {
+		t.Fatalf("Analyze over 4 windows built %d frames", len(got.Frames))
+	}
+	if !bytes.Equal(export(got), export(want)) {
+		t.Error("Analyze over 4 windows differs from the hand-split SplitWindows(4) pipeline")
 	}
 }

@@ -246,6 +246,22 @@ func quarantineBursts(t *trace.Trace) (*trace.Trace, map[string]int) {
 	return out, reasons
 }
 
+// Analyze runs the whole pipeline over one trace per experiment, or over
+// the time windows of a single trace when windows > 1: it builds the frame
+// sequence and tracks its objects. ctx reaches every stage, so a cancel
+// stops the analysis mid-pipeline and returns ctx.Err().
+func Analyze(ctx context.Context, traces []*trace.Trace, windows int, cfg Config) (*Result, error) {
+	traces, err := trace.Windows(traces, windows)
+	if err != nil {
+		return nil, err
+	}
+	frames, err := BuildFramesContext(ctx, traces, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewTracker(cfg).TrackContext(ctx, frames)
+}
+
 // BuildFramesContext converts one trace per experiment into the frame
 // sequence: it quarantines corrupt bursts, filters, evaluates the metric
 // space, clusters every frame independently (the paper stresses this is

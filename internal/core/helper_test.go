@@ -81,11 +81,7 @@ func testConfig() Config {
 
 // buildAndTrack is a convenience wrapper for end-to-end tests.
 func buildAndTrack(cfg Config, traces ...*trace.Trace) (*Result, error) {
-	frames, err := BuildFramesContext(context.Background(), traces, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewTracker(cfg).TrackContext(context.Background(), frames)
+	return Analyze(context.Background(), traces, 0, cfg)
 }
 
 // RowArgmax returns the column with the highest value in row i and that

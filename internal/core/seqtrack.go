@@ -10,9 +10,8 @@ import (
 // This file is the evaluate half of the streaming split. A SeqTracker
 // holds a growing frame sequence and re-evaluates it after every
 // appended window through the same Tracker.evaluate the batch pipeline
-// runs, producing a Result bit-exact with BuildFramesContext +
-// TrackContext over the whole sequence, while only paying for what
-// actually changed:
+// runs, producing a Result bit-exact with Analyze over the whole
+// sequence, while only paying for what actually changed:
 //
 //   - cross-series normalisation ranges are maintained incrementally
 //     (Range.Extend is a commutative min/max, so the running ranges
@@ -115,9 +114,9 @@ func (s *SeqTracker) Append(f *Frame) error {
 }
 
 // Evaluate re-runs the tracking pipeline over the appended sequence.
-// The Result is bit-exact with BuildFramesContext + TrackContext over
-// the same sealed window traces. It remains valid until the next Append
-// (a later renormalisation rewrites Frame.Norm and Clusters in place).
+// The Result is bit-exact with Analyze over the same sealed window
+// traces. It remains valid until the next Append (a later
+// renormalisation rewrites Frame.Norm and Clusters in place).
 func (s *SeqTracker) Evaluate(ctx context.Context) (*Result, error) {
 	if len(s.frames) == 0 {
 		return nil, fmt.Errorf("core: no frames to track")

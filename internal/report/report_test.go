@@ -91,8 +91,8 @@ func miniStudy(t *testing.T) *StudyResult {
 
 func TestRunStudyAndSummary(t *testing.T) {
 	sr := miniStudy(t)
-	if len(sr.Traces) != 4 || len(sr.Result.Frames) != 4 {
-		t.Fatalf("traces/frames = %d/%d", len(sr.Traces), len(sr.Result.Frames))
+	if len(sr.Result.Frames) != 4 {
+		t.Fatalf("frames = %d", len(sr.Result.Frames))
 	}
 	s := sr.Summary()
 	if !strings.Contains(s, "CGPOP") || !strings.Contains(s, "4 input images") {

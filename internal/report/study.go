@@ -6,33 +6,22 @@ import (
 
 	"perftrack/internal/apps"
 	"perftrack/internal/core"
-	"perftrack/internal/trace"
 )
 
-// StudyResult bundles a catalog study with its simulated traces and
-// tracking result; every report builder takes one.
+// StudyResult bundles a catalog study with its tracking result; every
+// report builder takes one.
 type StudyResult struct {
 	Study  apps.Study
-	Traces []*trace.Trace
 	Result *core.Result
 }
 
 // RunStudy simulates a catalog study and tracks it.
 func RunStudy(st apps.Study) (*StudyResult, error) {
-	ctx := context.Background()
-	traces, err := st.Simulate(ctx)
+	res, err := st.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
 	}
-	frames, err := core.BuildFramesContext(ctx, traces, st.Track)
-	if err != nil {
-		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
-	}
-	res, err := core.NewTracker(st.Track).TrackContext(ctx, frames)
-	if err != nil {
-		return nil, fmt.Errorf("report: study %s: %w", st.Name, err)
-	}
-	return &StudyResult{Study: st, Traces: traces, Result: res}, nil
+	return &StudyResult{Study: st, Result: res}, nil
 }
 
 // RunAll runs every catalog study in Table 2 order.

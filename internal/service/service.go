@@ -844,17 +844,17 @@ func (s *Server) execute(ctx context.Context, spec *jobSpec) ([]byte, *core.Diag
 	}
 
 	t0 := time.Now()
-	traces := spec.traces
+	var traces []*trace.Trace
+	var err error
 	if spec.study != nil {
 		sctx, cancel := stageCtx()
-		var err error
 		traces, err = spec.study.Simulate(sctx)
 		cancel()
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if spec.windows > 1 {
-		traces = traces[0].SplitWindows(spec.windows)
+	} else {
+		traces, err = trace.Windows(spec.traces, spec.windows)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	observe(s.m.stagePrepare, t0)
 

@@ -6,11 +6,11 @@
 //
 // The correctness anchor is differential: replaying a trace through a
 // Session, window by window, is bit-exact with running the batch
-// pipeline (core.BuildFramesContext + TrackContext) over the same window
-// boundaries. The canonical window order contract makes that precise:
-// a sealed window's trace is its accepted bursts in a stable
-// (Task, StartNS, Thread) sort of arrival order, so the labels are
-// invariant under burst permutations within a window.
+// pipeline (core.Analyze) over the same window boundaries. The canonical
+// window order contract makes that precise: a sealed window's trace is
+// its accepted bursts in a stable (Task, StartNS, Thread) sort of arrival
+// order, so the labels are invariant under burst permutations within a
+// window.
 package stream
 
 import (

@@ -239,13 +239,11 @@ func (t *Trace) TimeWindow(fromNS, toNS int64) *Trace {
 }
 
 // SplitWindows partitions the trace into n equal-duration time windows.
-// Window labels get a "/w<i>" suffix appended to the trace label.
+// Window labels get a "/w<i>" suffix appended to the trace label. For
+// n <= 1, or a trace with no time span, it returns one clone of the trace.
 func (t *Trace) SplitWindows(n int) []*Trace {
-	if n <= 1 {
-		return []*Trace{t.Clone()}
-	}
 	start, end := t.Span()
-	if end <= start {
+	if n <= 1 || end <= start {
 		return []*Trace{t.Clone()}
 	}
 	width := (end - start + int64(n) - 1) / int64(n)
@@ -256,6 +254,20 @@ func (t *Trace) SplitWindows(n int) []*Trace {
 		out[i] = w
 	}
 	return out
+}
+
+// Windows returns the trace sequence an analysis of n windows runs over:
+// the traces unchanged when n <= 1, else the n time windows of the one
+// trace given (the paper's "evolution along time intervals within the
+// same experiment" mode).
+func Windows(traces []*Trace, n int) ([]*Trace, error) {
+	if n <= 1 {
+		return traces, nil
+	}
+	if len(traces) != 1 {
+		return nil, fmt.Errorf("%d windows need exactly one trace, got %d", n, len(traces))
+	}
+	return traces[0].SplitWindows(n), nil
 }
 
 // PerTaskSequences returns, for each task present, the chronological list

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,6 +183,18 @@ func TestSplitWindows(t *testing.T) {
 	// n <= 1 returns a single clone.
 	if got := tr.SplitWindows(1); len(got) != 1 || len(got[0].Bursts) != 4 {
 		t.Error("SplitWindows(1) should return the whole trace")
+	}
+	// Windows passes a sequence through for n <= 1, splits one trace for
+	// n > 1, and refuses to split several.
+	two := []*Trace{tr, tr}
+	if got, err := Windows(two, 1); err != nil || len(got) != 2 || got[0] != tr {
+		t.Errorf("Windows(two, 1) = %d traces, %v; want the two unchanged", len(got), err)
+	}
+	if got, err := Windows(two[:1], 2); err != nil || !reflect.DeepEqual(got, ws) {
+		t.Errorf("Windows(one, 2) = %d traces, %v; want SplitWindows(2)", len(got), err)
+	}
+	if _, err := Windows(two, 2); err == nil || !strings.Contains(err.Error(), "exactly one trace, got 2") {
+		t.Errorf("Windows(two, 2): err = %v, want the exactly-one-trace error", err)
 	}
 }
 

@@ -253,13 +253,9 @@ type DiagnosisScore struct {
 func EvaluateDiagnosisCorpus(seed uint64, cfg core.Config) ([]DiagnosisScore, error) {
 	var out []DiagnosisScore
 	for _, ds := range DiagnosisCorpus(seed) {
-		frames, err := core.BuildFramesContext(context.Background(), ds.Traces, cfg)
+		res, err := core.Analyze(context.Background(), ds.Traces, 0, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("diagnosis scenario %s: building frames: %w", ds.Name, err)
-		}
-		res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
-		if err != nil {
-			return nil, fmt.Errorf("diagnosis scenario %s: tracking: %w", ds.Name, err)
+			return nil, fmt.Errorf("diagnosis scenario %s: %w", ds.Name, err)
 		}
 		diags := Diagnose(res)
 

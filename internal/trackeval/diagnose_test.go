@@ -36,11 +36,7 @@ func diagResult(t *testing.T, name string, seed uint64) (*core.Result, DiagScena
 		if !strings.HasPrefix(ds.Name, name+"@") {
 			continue
 		}
-		frames, err := core.BuildFramesContext(context.Background(), ds.Traces, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", ds.Name, err)
-		}
-		res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
+		res, err := core.Analyze(context.Background(), ds.Traces, 0, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}

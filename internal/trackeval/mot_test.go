@@ -13,13 +13,9 @@ import (
 func evalTracks(t *testing.T, cfg core.Config, seed uint64, tracks []oracle.PhaseTrack) (MOT, *core.Result) {
 	t.Helper()
 	traces := oracle.GenSequence(seed, "mot-test", 8, 2, tracks)
-	frames, err := core.BuildFramesContext(context.Background(), traces, cfg)
+	res, err := core.Analyze(context.Background(), traces, 0, cfg)
 	if err != nil {
-		t.Fatalf("building frames: %v", err)
-	}
-	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
-	if err != nil {
-		t.Fatalf("tracking: %v", err)
+		t.Fatal(err)
 	}
 	return Score(res), res
 }

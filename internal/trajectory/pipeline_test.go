@@ -69,13 +69,9 @@ func analyzeRun(t *testing.T, app mpisim.AppSpec, runIdx int) Run {
 		Cluster: cluster.Config{Eps: 0.07, MinPts: 5, MinClusterWeight: 0.002},
 		Metrics: metrics.DefaultSpace(),
 	}
-	frames, err := core.BuildFramesContext(context.Background(), traces, cfg)
+	res, err := core.Analyze(context.Background(), traces, 0, cfg)
 	if err != nil {
-		t.Fatalf("building frames for run %d: %v", runIdx, err)
-	}
-	res, err := core.NewTracker(cfg).TrackContext(context.Background(), frames)
-	if err != nil {
-		t.Fatalf("tracking run %d: %v", runIdx, err)
+		t.Fatalf("analysing run %d: %v", runIdx, err)
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf, cfg.Metrics); err != nil {

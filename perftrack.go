@@ -116,11 +116,7 @@ func Track(traces []*Trace, cfg Config) (*Result, error) {
 // analysis stops burning CPU mid-pipeline. This is what lets a serving
 // layer enforce per-job timeouts and cancel abandoned work.
 func TrackContext(ctx context.Context, traces []*Trace, cfg Config) (*Result, error) {
-	frames, err := core.BuildFramesContext(ctx, traces, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewTracker(cfg).TrackContext(ctx, frames)
+	return core.Analyze(ctx, traces, 0, cfg)
 }
 
 // RunStudy simulates a catalog study and tracks its frames with the
@@ -132,11 +128,7 @@ func RunStudy(st Study) (*Result, error) {
 // RunStudyContext is RunStudy with cancellation threaded through the
 // simulation and the whole tracking pipeline.
 func RunStudyContext(ctx context.Context, st Study) (*Result, error) {
-	traces, err := SimulateStudyContext(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	return TrackContext(ctx, traces, st.Track)
+	return st.Run(ctx)
 }
 
 // SimulateStudyContext is SimulateStudy with cancellation between runs.
@@ -189,7 +181,3 @@ func ReadTraceFileLenient(path string) (*Trace, DecodeDiagnostics, error) {
 
 func DefaultMetrics() []Metric                { return metrics.DefaultSpace() }
 func MetricByName(name string) (Metric, bool) { return metrics.ByName(name) }
-func NewTracker(cfg Config) *core.Tracker     { return core.NewTracker(cfg) }
-func BuildFrames(ts []*Trace, c Config) ([]*Frame, error) {
-	return core.BuildFramesContext(context.Background(), ts, c)
-}

@@ -2,7 +2,6 @@ package perftrack
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -202,21 +201,6 @@ func TestBaselineComparison(t *testing.T) {
 		if d.DurationRatio < 0.95 || d.DurationRatio > 1.05 {
 			t.Errorf("%s duration ratio = %v, want ~1", d.Stack, d.DurationRatio)
 		}
-	}
-}
-
-func TestTrackerAlias(t *testing.T) {
-	tk := NewTracker(Config{})
-	if tk == nil {
-		t.Fatal("NewTracker returned nil")
-	}
-	frames, err := BuildFrames(demoTraces(t), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tk.TrackContext(context.Background(), frames)
-	if err != nil || res.SpanningCount == 0 {
-		t.Errorf("tracker alias run: %v, %+v", err, res)
 	}
 }
 
