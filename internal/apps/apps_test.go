@@ -195,7 +195,7 @@ func TestStudySimulateWindows(t *testing.T) {
 	multi := st
 	multi.Windows = 4
 	if _, err := multi.Simulate(ctx); err == nil || !strings.Contains(err.Error(), "exactly one trace") {
-		t.Fatalf("windowed multi-run study: err = %v, want a one-run error", err)
+		t.Fatalf("windowed multi-run study: err = %v, want the exactly-one-trace error", err)
 	}
 
 	single := st
